@@ -13,16 +13,17 @@ Run:  python examples/jacobi_solver.py
 import numpy as np
 
 from repro import compile_source, run_program, run_sequential
-from repro.tools.autotune import choose_granularity
+from repro.tools.tuneplan import tune_per_region
 from repro.workloads import jacobi
 
 N, STEPS = 16384, 20
 
 print(f"== Jacobi: {N}-point grid, {STEPS} sweeps, 4 nodes ==")
-tune = choose_granularity(jacobi.source(N, STEPS), nprocs=4, metric="comm")
-print(tune.summary())
+source = jacobi.source(N, STEPS)
+plan = tune_per_region(source, nprocs=4, metric="comm", cache_dir=None)
+print(plan.summary())
 
-program = tune.program
+program = compile_source(source, options=plan.options())
 seq = run_sequential(program)
 par = run_program(program)
 

@@ -1,15 +1,11 @@
-"""User-facing tools built on the library: the global granularity
-auto-tuner (the paper's §5.6 future work), the trace-driven per-region
-tuner, the trace-calibrated cost model (docs/AUTOTUNE.md), and the
-command-line driver."""
+"""User-facing tools built on the library: the per-region granularity
+tuner (the paper's §5.6 future work, automated), the trace-calibrated
+cost model (docs/AUTOTUNE.md), and the command-line driver."""
 
-from repro.tools.autotune import GranularityReport, choose_granularity
 from repro.tools.calibrate import CalibratedModel, calibrate
 from repro.tools.tuneplan import RegionDecision, TunePlan, tune_per_region
 
 __all__ = [
-    "GranularityReport",
-    "choose_granularity",
     "CalibratedModel",
     "calibrate",
     "RegionDecision",

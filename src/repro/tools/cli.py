@@ -14,9 +14,10 @@ Usage::
     python -m repro trace   PROG.f [--nprocs 4] [--backend vbus]
                                    [--timing] [--out PREFIX]
     python -m repro autotune PROG.f [--nprocs 4] [--metric comm]
-                                    [--backend vbus] [--per-region]
+                                    [--backend vbus] [--tune-partition]
                                     [--plan-out PLAN.json]
                                     [--calibration CAL.json]
+                                    [--cache-dir DIR] [--no-cache]
     python -m repro calibrate [--backend gige] [--nprocs 4]
                               [-o CAL.json] [--cache-dir DIR] [--no-cache]
     python -m repro sweep   GRID.json [--jobs N] [-o OUT.jsonl]
@@ -39,7 +40,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.compiler.pipeline import CompileOptions, compile_source
+from repro.compiler.pipeline import compile_source
 from repro.compiler.postpass.granularity import GRAINS
 from repro.compiler.postpass.partition import PartitionError
 from repro.faults.plan import FaultPlan
@@ -52,7 +53,7 @@ from repro.obs.export import (
 )
 from repro.runtime.executor import run_program, run_sequential
 from repro.sweep.runner import BACKENDS
-from repro.tools.autotune import METRICS, choose_granularity
+from repro.tools.tuneplan import DEFAULT_EPSILON, METRICS, tune_per_region
 
 __all__ = ["main"]
 
@@ -89,12 +90,24 @@ def _partition_spec(value: str) -> str:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _nprocs(value: str) -> int:
+    """argparse type for --nprocs: a cluster needs at least one rank."""
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "source",
         help="Fortran 77 source file, or a workload spec like MM-256",
     )
-    p.add_argument("--nprocs", type=int, default=4, help="cluster size")
+    p.add_argument("--nprocs", type=_nprocs, default=4, help="cluster size")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
     p.add_argument(
         "--granularity",
         choices=GRAINS,
@@ -200,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PLAN.json",
         help="mixed-grain TunePlan artifact from "
-        "'repro autotune --per-region --plan-out' (docs/AUTOTUNE.md); "
+        "'repro autotune --plan-out' (docs/AUTOTUNE.md); "
         "overrides --granularity",
     )
     pr.add_argument(
@@ -257,38 +270,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser(
         "autotune",
-        help="pick the best granularity — globally, or per region with "
-        "a cached pruned search (docs/AUTOTUNE.md)",
+        help="pick the best granularity per parallel region with a "
+        "cached pruned search (docs/AUTOTUNE.md)",
     )
-    _add_common(pa)
+    _add_source(pa)
     _add_backend(pa)
     pa.add_argument("--metric", choices=METRICS, default="comm")
     pa.add_argument(
         "--epsilon",
         type=float,
-        default=None,
+        default=DEFAULT_EPSILON,
         help="relative near-tie margin (default 0.05): closer gaps go "
-        "to the plan with fewer messages (global mode) or to the "
-        "profiled rollup (per-region mode)",
-    )
-    pa.add_argument(
-        "--per-region",
-        action="store_true",
-        help="tune each parallel region separately (mixed-grain plan) "
-        "instead of picking one global grain",
+        "to the profiled rollup",
     )
     pa.add_argument(
         "--tune-partition",
         action="store_true",
         help="also tune the §5.3 partition strategy per region "
-        "(joint grain x strategy search; needs --per-region; "
-        "docs/PARTITION.md)",
+        "(joint grain x strategy search; docs/PARTITION.md)",
     )
     pa.add_argument(
         "--plan-out",
         default=None,
         metavar="PLAN.json",
-        help="write the per-region TunePlan artifact (reusable via "
+        help="write the TunePlan artifact (reusable via "
         "'repro run --tune-plan' and the sweep engine)",
     )
     pa.add_argument(
@@ -296,19 +301,19 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="CAL.json",
         help="trace-calibrated cost-model artifact from 'repro calibrate' "
-        "(needs --per-region; docs/AUTOTUNE.md)",
+        "(docs/AUTOTUNE.md)",
     )
     pa.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="per-region plan cache location (default: .sweep-cache, "
+        help="plan cache location (default: .sweep-cache, "
         "shared with 'repro sweep')",
     )
     pa.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore and do not write the per-region plan cache",
+        help="ignore and do not write the plan cache",
     )
     _add_faults(pa)
 
@@ -323,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="vbus",
         help="interconnect preset to calibrate (see docs/SWEEP.md)",
     )
-    pb.add_argument("--nprocs", type=int, default=4, help="cluster size")
+    pb.add_argument("--nprocs", type=_nprocs, default=4, help="cluster size")
     pb.add_argument(
         "-o",
         "--out",
@@ -543,14 +548,14 @@ def _cmd_sweep(args) -> int:
     from repro.sweep.cache import DEFAULT_CACHE_DIR
     from repro.sweep.engine import summary_table, write_jsonl
 
+    spec = _load_artifact(load_grid, args.grid, "sweep")
+    cache_dir = None if args.no_cache else (
+        args.cache_dir or DEFAULT_CACHE_DIR
+    )
+    progress = None
+    if not args.quiet:
+        progress = lambda msg: print(f"sweep: {msg}", file=sys.stderr)
     try:
-        spec = load_grid(args.grid)
-        cache_dir = None if args.no_cache else (
-            args.cache_dir or DEFAULT_CACHE_DIR
-        )
-        progress = None
-        if not args.quiet:
-            progress = lambda msg: print(f"sweep: {msg}", file=sys.stderr)
         result = run_sweep(
             spec, jobs=args.jobs, cache_dir=cache_dir, progress=progress
         )
@@ -584,72 +589,33 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_autotune(args) -> int:
-    src = _source_text(args.source)
-    faults = _load_faults(args)
-    if args.tune_partition and not args.per_region:
-        print(
-            "autotune: --tune-partition needs --per-region (the global "
-            "tuner has no per-region strategy to carry)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.calibration is not None and not args.per_region:
-        print(
-            "autotune: --calibration needs --per-region (the global "
-            "tuner profiles every grain anyway, so fitted constants "
-            "have nothing to decide)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.per_region:
-        from repro.sweep.cache import DEFAULT_CACHE_DIR
-        from repro.tools.tuneplan import DEFAULT_EPSILON, tune_per_region
+    from repro.sweep.cache import DEFAULT_CACHE_DIR
 
-        calibration = None
-        if args.calibration is not None:
-            from repro.tools.calibrate import CalibratedModel
+    calibration = None
+    if args.calibration is not None:
+        from repro.tools.calibrate import CalibratedModel
 
-            calibration = _load_artifact(
-                CalibratedModel.load, args.calibration, "autotune"
-            )
-        cache_dir = None if args.no_cache else (
-            args.cache_dir or DEFAULT_CACHE_DIR
+        calibration = _load_artifact(
+            CalibratedModel.load, args.calibration, "autotune"
         )
-        plan = tune_per_region(
-            src,
-            nprocs=args.nprocs,
-            metric=args.metric,
-            backend=args.backend or "vbus",
-            epsilon=(
-                args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
-            ),
-            cache_dir=cache_dir,
-            faults=faults,
-            tune_partition=args.tune_partition,
-            calibration=calibration,
-        )
-        print(plan.summary())
-        if args.plan_out is not None:
-            plan.save(args.plan_out)
-            print(f"wrote {args.plan_out}")
-        return 0
-    from repro.tools.autotune import DEFAULT_EPSILON
-
-    opts = CompileOptions(
-        nprocs=args.nprocs,
-        granularity=args.granularity,
-        partition=args.partition,
+    cache_dir = None if args.no_cache else (
+        args.cache_dir or DEFAULT_CACHE_DIR
     )
-    rep = choose_granularity(
-        src,
+    plan = tune_per_region(
+        _source_text(args.source),
         nprocs=args.nprocs,
         metric=args.metric,
-        options=opts,
-        cluster_params=_cluster(args),
-        epsilon=args.epsilon if args.epsilon is not None else DEFAULT_EPSILON,
-        faults=faults,
+        backend=args.backend or "vbus",
+        epsilon=args.epsilon,
+        cache_dir=cache_dir,
+        faults=_load_faults(args),
+        tune_partition=args.tune_partition,
+        calibration=calibration,
     )
-    print(rep.summary())
+    print(plan.summary())
+    if args.plan_out is not None:
+        plan.save(args.plan_out)
+        print(f"wrote {args.plan_out}")
     return 0
 
 

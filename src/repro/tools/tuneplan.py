@@ -1,11 +1,12 @@
 """Trace-driven per-region granularity tuning (docs/AUTOTUNE.md).
 
-The global tuner (:mod:`repro.tools.autotune`) profiles the whole
-program at every grain and picks one winner — three full profile runs,
-and one grain for every parallel region even when regions disagree.
-This module tunes **per region** with a pruned search:
+The paper leaves the fine/middle/coarse choice to the user and says
+profiling tools "would be useful to guide the user" (§5.6).  This module
+is that guide, automated **per region**: one grain per parallel region
+(a uniform plan is the degenerate case), found with a pruned search
+instead of profiling the whole program at every grain:
 
-1. compile the three global-grain variants (compile analysis is cheap
+1. compile the three uniform-grain variants (compile analysis is cheap
    next to simulation, and the pipeline cache makes repeats free) and
    price each region's :class:`RegionCommPlan` with an **analytic cost
    model** built from the §5.6 transfer plans and the backend's
@@ -67,6 +68,7 @@ from repro.sweep.cache import (
 
 __all__ = [
     "FEATURES",
+    "METRICS",
     "ModelCost",
     "RegionDecision",
     "TunePlan",
@@ -74,6 +76,10 @@ __all__ = [
     "region_model_cost",
     "tune_per_region",
 ]
+
+#: Metrics the tuner can optimize: simulated wall-clock, the busiest
+#: rank's elapsed MPI time, or its CPU time driving communication.
+METRICS = ("total", "comm", "comm_cpu")
 
 #: Relative margin below which the analytic model refuses to decide and
 #: the region goes to the profile-measured tier instead.
@@ -418,7 +424,7 @@ class TunePlan:
             return cls.from_jsonable(json.load(fh))
 
     def summary(self) -> str:
-        where = self.backend or "custom backend"
+        where = self.backend or "vbus"
         head = (
             f"per-region tune plan ({where}, np={self.nprocs}, "
             f"metric: {self.metric}):"
@@ -629,9 +635,7 @@ def plan_cache_key(
     return job_key(doc)
 
 
-def _resolve_backend(backend: Optional[str], cluster_params, nprocs: int):
-    if cluster_params is not None:
-        return cluster_params
+def _resolve_backend(backend: Optional[str], nprocs: int):
     from repro.sweep.runner import BACKENDS
     from repro.vbus import params as P
 
@@ -648,7 +652,6 @@ def tune_per_region(
     nprocs: int = 4,
     metric: str = "comm",
     backend: Optional[str] = None,
-    cluster_params=None,
     epsilon: float = DEFAULT_EPSILON,
     cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
     faults=None,
@@ -658,9 +661,8 @@ def tune_per_region(
 ) -> TunePlan:
     """Derive a per-region mixed-grain :class:`TunePlan` for ``source``.
 
-    ``backend`` is a sweep backend name (``vbus``, ``gige``, ...); pass
-    ``cluster_params`` instead for a custom machine (which disables the
-    plan cache — there is no stable name to key it under).  ``faults``
+    ``metric`` is one of :data:`METRICS`.  ``backend`` is a sweep
+    backend name (``vbus``, ``gige``, ...; default ``vbus``).  ``faults``
     only affects the profile runs, never the plan artifact: fault plans
     perturb timing, not which transfers a grain emits.
 
@@ -693,17 +695,14 @@ def tune_per_region(
     Warm calls (``cache_dir`` holds a plan for this exact problem)
     return the cached plan without compiling or profiling anything.
     """
-    from repro.tools.autotune import METRICS
-
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon!r}")
 
     cal_sha = calibration.sha256() if calibration is not None else ""
-    cacheable = cache_dir is not None and cluster_params is None
     key = None
-    if cacheable:
+    if cache_dir is not None:
         key = plan_cache_key(
             source, backend or "vbus", nprocs, metric, epsilon,
             tune_partition=tune_partition,
@@ -715,7 +714,7 @@ def tune_per_region(
             plan.cached = True
             return plan
 
-    params = _resolve_backend(backend, cluster_params, nprocs)
+    params = _resolve_backend(backend, nprocs)
 
     # 1. Compile every candidate variant; the cost model reads their
     #    plans.  Grain-only searches compile the three global grains;
@@ -1187,7 +1186,7 @@ def tune_per_region(
     plan = TunePlan(
         metric=metric,
         nprocs=nprocs,
-        backend=backend if cluster_params is None else None,
+        backend=backend,
         default_grain=default,
         grain_map=grain_map,
         epsilon=epsilon,
@@ -1200,6 +1199,6 @@ def tune_per_region(
         evaluated_candidates=evaluated,
         pruned_candidates=pruned,
     )
-    if cacheable:
+    if cache_dir is not None:
         store_row(cache_dir, key, plan.to_jsonable())
     return plan

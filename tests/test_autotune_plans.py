@@ -217,7 +217,7 @@ def test_cli_round_trip(tmp_path, capsys):
     plan_path = str(tmp_path / "plan.json")
     assert main(
         [
-            "autotune", "XOVER-64", "--per-region", "--backend", "gige",
+            "autotune", "XOVER-64", "--backend", "gige",
             "--plan-out", plan_path,
             "--cache-dir", str(tmp_path / "cache"),
         ]

@@ -229,15 +229,8 @@ def test_cli_calibrate_and_autotune_calibration(tmp_path, capsys):
     assert saved["kind"] == "calibration" and saved["backend"] == "gige"
 
     assert main([
-        "autotune", str(src), "--backend", "gige", "--per-region",
+        "autotune", str(src), "--backend", "gige",
         "--tune-partition", "--calibration", str(art),
         "--cache-dir", cache,
     ]) == 0
     assert "per-region tune plan" in capsys.readouterr().out
-
-    # --calibration without --per-region is a usage error: the global
-    # tuner profiles every grain, so fitted constants decide nothing.
-    assert main([
-        "autotune", str(src), "--calibration", str(art),
-    ]) == 2
-    assert "--per-region" in capsys.readouterr().err

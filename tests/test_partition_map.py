@@ -278,7 +278,7 @@ def test_cli_joint_round_trip(tmp_path, capsys):
     plan_path = str(tmp_path / "plan.json")
     assert main(
         [
-            "autotune", "MM-32", "--per-region", "--tune-partition",
+            "autotune", "MM-32", "--tune-partition",
             "--backend", "gige", "--plan-out", plan_path,
             "--cache-dir", str(tmp_path / "cache"),
         ]
@@ -292,13 +292,6 @@ def test_cli_joint_round_trip(tmp_path, capsys):
         ]
     ) == 0
     assert "0:cyclic" in capsys.readouterr().out
-
-
-def test_cli_tune_partition_needs_per_region(capsys):
-    from repro.tools.cli import main
-
-    assert main(["autotune", "MM-32", "--tune-partition"]) == 2
-    assert "--per-region" in capsys.readouterr().err
 
 
 # ------------------------------------------------- sweep integration

@@ -57,14 +57,25 @@ def test_cli_run_unknown_array(mm_file, capsys):
 
 
 def test_cli_autotune(mm_file, capsys):
-    assert main(["autotune", mm_file, "--metric", "comm_cpu"]) == 0
+    assert main(
+        ["autotune", mm_file, "--metric", "comm_cpu", "--no-cache"]
+    ) == 0
     out = capsys.readouterr().out
-    assert "selected" in out
+    assert "per-region tune plan" in out
 
 
 def test_cli_rejects_bad_granularity(mm_file):
     with pytest.raises(SystemExit):
         main(["compile", mm_file, "--granularity", "chunky"])
+    # autotune picks grains itself: it takes no --granularity at all.
+    with pytest.raises(SystemExit) as exc:
+        main(["autotune", mm_file, "--granularity", "coarse"])
+    assert exc.value.code == 2
+    # A cluster needs at least one rank: a usage error, not a traceback.
+    for sub in ("run", "autotune"):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, mm_file, "--nprocs", "0"])
+        assert exc.value.code == 2
 
 
 def test_cli_check_clean_exits_0(mm_file, capsys):
@@ -101,13 +112,13 @@ def test_cli_sanitize_rejects_timing_mode(mm_file, capsys):
 
 
 def test_cli_missing_artifacts_exit_2_without_traceback(mm_file, capsys):
-    """Unloadable plan/calibration/fault artifacts are CLI errors (exit
-    2, message on stderr), never tracebacks."""
+    """Unloadable plan/calibration/fault/grid artifacts are CLI errors
+    (exit 2, message on stderr), never tracebacks."""
     for argv in (
         ["run", mm_file, "--tune-plan", "/no/such/plan.json"],
         ["run", mm_file, "--faults", "/no/such/faults.json"],
-        ["autotune", mm_file, "--per-region",
-         "--calibration", "/no/such/cal.json"],
+        ["autotune", mm_file, "--calibration", "/no/such/cal.json"],
+        ["sweep", "/no/such/grid.json"],
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# Tier-1 tests + wall-clock benchmark, emitting BENCH_PR9.json.
+# Tier-1 tests + wall-clock benchmark, emitting BENCH_WALLCLOCK.json.
 #
 # Usage: tools/run_benchmarks.sh [--quick] [-o OUT.json]
 #   --quick   skip the MM-1024 scale (fast CI smoke run)
-#   -o OUT    benchmark output path (default: BENCH_PR9.json; the
-#             summary at the end reads whatever path is in effect)
+#   -o OUT    benchmark output path (default: bench_wallclock.py's
+#             DEFAULT_OUTPUT; the summary at the end reads whatever
+#             path is in effect)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# The benchmark owns its default output path; mirror it here so the
-# summary step reads the same file the benchmark wrote (no hardcoding).
-BENCH_OUT=BENCH_PR9.json
+# The benchmark owns its default output path; read it from there so the
+# summary step reads the same file the benchmark wrote.
+BENCH_OUT="$(python -c 'from benchmarks.bench_wallclock import DEFAULT_OUTPUT; print(DEFAULT_OUTPUT)')"
 args=("$@")
 for ((i = 0; i < ${#args[@]}; i++)); do
   case "${args[$i]}" in
