@@ -27,7 +27,7 @@ A second phase benchmarks the **per-region autotuner** (docs/AUTOTUNE.md)
 against a 3-recompile global baseline: for each cell the baseline
 clears the analysis caches once, then compiles and timing-profiles all
 three uniform grains (what a whole-program tuner has to do), then the
-pruned per-region search runs cold (analytic model + targeted profiles)
+per-region search runs cold (analytic model + targeted profiles)
 and warm (plan-cache hit).  The tuned plan's comm metric is asserted
 never to lose to the best global grain.
 
@@ -227,7 +227,7 @@ def _timed_sweep(grid, *, jobs, cache_dir):
 
 
 def _autotune_suite(quick: bool):
-    """Per-region pruned search vs the 3-recompile global baseline."""
+    """Per-region search vs the 3-recompile global baseline."""
     from repro.compiler.postpass.granularity import GRAINS
     from repro.sweep.runner import BACKENDS
     from repro.tools.tuneplan import tune_per_region
@@ -560,7 +560,7 @@ def main(argv=None) -> int:
     tune_rows, tune_baseline_s, tune_cold_s = _autotune_suite(args.quick)
     tune_ratio = tune_cold_s / tune_baseline_s
     print(f"autotune suite: baseline {tune_baseline_s:.3f}s, "
-          f"pruned tuner {tune_cold_s:.3f}s "
+          f"per-region tuner {tune_cold_s:.3f}s "
           f"({tune_ratio:.2f}x, target <= {AUTOTUNE_RATIO_TARGET}x)")
 
     print("\n== joint grain x partition tuner vs naive 6-recompile sweep ==")
@@ -619,7 +619,7 @@ def main(argv=None) -> int:
             "baseline": ("3-recompile global baseline: one analysis-cache "
                          "clear, then compile + timing-mode profile at "
                          "all three uniform grains"),
-            "tuner": ("per-region pruned search (docs/AUTOTUNE.md): "
+            "tuner": ("per-region search (docs/AUTOTUNE.md): "
                       "analytic cost model + targeted instrumented "
                       "profiles, plan cache cold"),
             "cells": len(tune_rows),

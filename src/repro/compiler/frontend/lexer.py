@@ -18,10 +18,12 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.errors import ReproError
+
 __all__ = ["Token", "LexError", "tokenize"]
 
 
-class LexError(ValueError):
+class LexError(ValueError, ReproError):
     """Bad character or malformed literal, with line information."""
 
 

@@ -22,11 +22,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.symtab import Symbol, SymbolTable
+from repro.errors import ReproError
 
 __all__ = ["LowerError", "lower_program", "map_expr", "fold_expr"]
 
 
-class LowerError(ValueError):
+class LowerError(ValueError, ReproError):
     """Lowering failed (unfoldable step, uninlinable call, ...)."""
 
 

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.lexer import Token, tokenize
 from repro.compiler.frontend.symtab import Symbol, SymbolTable
+from repro.errors import ReproError
 
 __all__ = ["ParseError", "parse", "INTRINSICS"]
 
@@ -23,7 +24,7 @@ INTRINSICS = {
 }
 
 
-class ParseError(SyntaxError):
+class ParseError(SyntaxError, ReproError):
     """Syntax error with source-line context."""
 
 

@@ -6,10 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
+
 __all__ = ["Symbol", "SymbolTable", "SymtabError"]
 
 
-class SymtabError(ValueError):
+class SymtabError(ValueError, ReproError):
     """Undeclared/odd symbol usage."""
 
 

@@ -33,6 +33,7 @@ from typing import List, Optional, Tuple
 
 from repro.compiler.analysis.access import LoopCtx
 from repro.compiler.frontend import fast as F
+from repro.errors import ReproError
 
 __all__ = [
     "Partition",
@@ -49,7 +50,7 @@ __all__ = [
 STRATEGIES = ("block", "cyclic")
 
 
-class PartitionError(ValueError):
+class PartitionError(ValueError, ReproError):
     """A partition request that cannot be honored, with provenance.
 
     Raised by the planner (and surfaced verbatim by the CLI) so a bad

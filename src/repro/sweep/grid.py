@@ -27,12 +27,13 @@ import itertools
 import json
 from typing import Dict, List
 
+from repro.errors import ReproError
 from repro.sweep.runner import BACKENDS, GRANULARITIES, parse_workload
 
 __all__ = ["AXIS_KEYS", "SweepConfigError", "expand_grid", "load_grid"]
 
 
-class SweepConfigError(ValueError):
+class SweepConfigError(ValueError, ReproError):
     """A malformed grid or job config."""
 
 

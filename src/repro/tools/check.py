@@ -29,9 +29,7 @@ are caught.
 
 Results come back as a versioned :class:`CheckReport` (JSON fields
 omitted-when-clean for byte-compat), content-address-cached via
-:mod:`repro.sweep.cache` when a ``cache_dir`` is given.  The autotuner
-(`tune_per_region(static_prune=True)`) uses :func:`bad_region_map` to
-drop statically-illegal grain×strategy candidates before pricing them.
+:mod:`repro.sweep.cache` when a ``cache_dir`` is given.
 """
 
 from __future__ import annotations
@@ -545,7 +543,7 @@ def check_source(
 
 
 def bad_region_map(program) -> Dict[int, List[str]]:
-    """region_id -> sorted diagnostic codes (the autotuner's prune input)."""
+    """region_id -> sorted diagnostic codes, for per-region verdicts."""
     out: Dict[int, List[str]] = {}
     for d in check_program(program).diagnostics:
         out.setdefault(d.region_id, [])

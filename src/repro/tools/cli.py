@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from repro.compiler.pipeline import compile_source
 from repro.compiler.postpass.granularity import GRAINS
-from repro.compiler.postpass.partition import PartitionError
+from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.mpi2.exceptions import MpiFaultError
 from repro.obs.export import (
@@ -58,13 +58,9 @@ from repro.tools.tuneplan import DEFAULT_EPSILON, METRICS, tune_per_region
 __all__ = ["main"]
 
 
-class _CliError(Exception):
-    """A user-facing CLI failure: printed to stderr, exit status 2.
-
-    Raised instead of letting artifact-loading errors (missing or
-    malformed JSON plans) escape as tracebacks — the same discipline
-    ``PartitionError`` already gets in :func:`main`.
-    """
+class _CliError(ReproError):
+    """An unloadable artifact (missing or malformed JSON): printed by
+    :func:`main` like every other :class:`ReproError`, exit status 2."""
 
 
 def _load_artifact(loader, path: str, what: str):
@@ -544,7 +540,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.sweep import SweepConfigError, load_grid, run_sweep
+    from repro.sweep import load_grid, run_sweep
     from repro.sweep.cache import DEFAULT_CACHE_DIR
     from repro.sweep.engine import summary_table, write_jsonl
 
@@ -555,13 +551,9 @@ def _cmd_sweep(args) -> int:
     progress = None
     if not args.quiet:
         progress = lambda msg: print(f"sweep: {msg}", file=sys.stderr)
-    try:
-        result = run_sweep(
-            spec, jobs=args.jobs, cache_dir=cache_dir, progress=progress
-        )
-    except SweepConfigError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+    result = run_sweep(
+        spec, jobs=args.jobs, cache_dir=cache_dir, progress=progress
+    )
     out = args.out or os.path.splitext(os.path.basename(args.grid))[0] + ".jsonl"
     write_jsonl(result.rows, out)
     print(summary_table(result))
@@ -638,14 +630,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except MpiFaultError as exc:
         print(f"fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except _CliError as exc:
+    except ReproError as exc:
+        # Parse errors name their source line and partition errors their
+        # region (docs/PARTITION.md): the message is the whole report.
         print(f"repro: {exc}", file=sys.stderr)
-        return 2
-    except PartitionError as exc:
-        # Bad partition requests carry their region provenance
-        # (docs/PARTITION.md) — surface them as a clean CLI error
-        # instead of a traceback.
-        print(f"partition: {exc}", file=sys.stderr)
         return 2
 
 

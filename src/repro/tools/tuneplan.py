@@ -3,7 +3,7 @@
 The paper leaves the fine/middle/coarse choice to the user and says
 profiling tools "would be useful to guide the user" (§5.6).  This module
 is that guide, automated **per region**: one grain per parallel region
-(a uniform plan is the degenerate case), found with a pruned search
+(a uniform plan is the degenerate case), found with a tiered search
 instead of profiling the whole program at every grain:
 
 1. compile the three uniform-grain variants (compile analysis is cheap
@@ -26,7 +26,7 @@ is content-address-cached through :mod:`repro.sweep.cache` keyed on
 (source, backend, nprocs, metric, epsilon) so warm calls skip even the
 single profile.
 
-With ``tune_partition=True`` the same pruned search runs over the joint
+With ``tune_partition=True`` the same tiered search runs over the joint
 (grain, §5.3 partition strategy) space: six compile variants feed the
 analytic tier, whose price adds an **imbalance term** — per-strategy
 per-rank iteration weights (inner trip counts) skewed against the
@@ -329,14 +329,12 @@ class TunePlan:
     calibration_sha256: str = ""
     #: True when this plan came from the on-disk plan cache.
     cached: bool = field(default=False, compare=False)
-    #: Analytic-tier price evaluations the search actually performed.
-    #: Diagnostic counters only — never serialized (so pruned and
-    #: unpruned searches emit byte-identical artifacts), 0 on warm
-    #: cache hits.
+    #: Analytic-tier price evaluations the search performed.  Diagnostic
+    #: counter only — never serialized, 0 on warm cache hits.
     evaluated_candidates: int = field(default=0, compare=False)
-    #: (region, candidate) pairs the static tier skipped: verifier-
-    #: illegal candidates dropped before pricing plus structural
-    #: duplicates collapsed by price-key sharing (docs/CHECK.md).
+    #: Always 0: the search prices every compiled candidate and runs no
+    #: verifier (its legality verdicts never changed a plan).  Kept so
+    #: readers of the counter pair keep working.
     pruned_candidates: int = field(default=0, compare=False)
 
     @property
@@ -493,28 +491,6 @@ def _margin(values: List[float]) -> float:
     return (second - best) / second
 
 
-def _plan_price_key(plan: RegionCommPlan) -> tuple:
-    """Everything the cost model reads from a region plan, as a hashable
-    projection: two plans with equal keys price identically on every
-    backend and calibration (:func:`region_model_cost` and
-    :func:`region_features` walk exactly these fields).  The static
-    pruning tier uses it to collapse structural duplicates — e.g. a
-    coarse variant the §5.6 bound check demoted back to fine, or a
-    forced-strategy variant identical to what ``auto`` resolved to —
-    into a single evaluation (docs/CHECK.md)."""
-    out = []
-    for name in sorted(plan.arrays):
-        a = plan.arrays[name]
-        out.append((
-            name,
-            a.itemsize,
-            a.scatter_bcast,
-            tuple((r, tuple(a.scatter[r])) for r in sorted(a.scatter)),
-            tuple((r, tuple(a.collect[r])) for r in sorted(a.collect)),
-        ))
-    return tuple(out)
-
-
 def _cand_key(grain: str, spec: Optional[str]) -> str:
     """Stable label of a (grain, strategy) candidate for JSON dicts."""
     return grain if spec is None else f"{grain}/{spec}"
@@ -611,13 +587,15 @@ def plan_cache_key(
     epsilon: float,
     tune_partition: bool = False,
     calibration_sha256: str = "",
+    faults=None,
 ) -> str:
     """Content-address of one tuning problem (shares the sweep cache).
 
-    The ``partition`` field joins the key only for joint searches and
-    the ``calibration`` field only for calibrated searches, so every
-    pre-existing key (and any cached plan stored under one) is untouched
-    by either axis.
+    The ``partition`` field joins the key only for joint searches, the
+    ``calibration`` field only for calibrated searches and the
+    ``faults`` field (the plan's JSON) only for an active
+    :class:`~repro.faults.plan.FaultPlan`, so every pre-existing key (and
+    any cached plan stored under one) is untouched by these axes.
     """
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     doc = {
@@ -632,6 +610,8 @@ def plan_cache_key(
         doc["partition"] = True
     if calibration_sha256:
         doc["calibration"] = calibration_sha256
+    if faults is not None and faults.active:
+        doc["faults"] = faults.to_json()
     return job_key(doc)
 
 
@@ -657,14 +637,14 @@ def tune_per_region(
     faults=None,
     tune_partition: bool = False,
     calibration=None,
-    static_prune: bool = True,
 ) -> TunePlan:
     """Derive a per-region mixed-grain :class:`TunePlan` for ``source``.
 
     ``metric`` is one of :data:`METRICS`.  ``backend`` is a sweep
     backend name (``vbus``, ``gige``, ...; default ``vbus``).  ``faults``
-    only affects the profile runs, never the plan artifact: fault plans
-    perturb timing, not which transfers a grain emits.
+    applies to the profile runs.  Fault delays perturb the measured
+    timing and so can change the chosen plan; an active fault plan
+    therefore joins the plan cache key.
 
     ``tune_partition=True`` widens every tier to the joint
     (grain, §5.3 strategy) space: block and cyclic variants are compiled
@@ -681,17 +661,6 @@ def tune_per_region(
     plan cache key and the artifact (``calibration_sha256``), keeping
     uncalibrated plans byte-identical to what earlier releases wrote.
 
-    ``static_prune`` (default on) runs the :mod:`repro.tools.check`
-    verifier over every compiled variant before the analytic tier:
-    candidates it proves illegal for a region (RV4xx — e.g. a forced
-    split dimension crossing a carried dependence) are dropped from that
-    region's search, and structural duplicates (identical priced
-    transfer schedules) collapse to one evaluation.  Pruning never
-    changes the chosen plan on statically-legal programs — the artifact
-    is byte-identical either way, which is why the flag stays out of
-    the cache key; the saved work shows in ``evaluated_candidates`` /
-    ``pruned_candidates``.
-
     Warm calls (``cache_dir`` holds a plan for this exact problem)
     return the cached plan without compiling or profiling anything.
     """
@@ -707,6 +676,7 @@ def tune_per_region(
             source, backend or "vbus", nprocs, metric, epsilon,
             tune_partition=tune_partition,
             calibration_sha256=cal_sha,
+            faults=faults,
         )
         row = load_row(cache_dir, key)
         if row is not None:
@@ -739,29 +709,6 @@ def tune_per_region(
         for g in GRAINS
         if sorted(programs[(g, s)].plans) == region_ids
     ]
-
-    # Static pruning tier (docs/CHECK.md): before pricing anything, run
-    # the comm-plan verifier over every variant and drop candidates it
-    # proves illegal for a region.  A region where *every* candidate is
-    # illegal keeps the full list — the tuner must still pick something,
-    # and an everywhere-illegal program is 'repro check's verdict to
-    # deliver, not the tuner's.
-    evaluated = 0
-    pruned = 0
-    region_cands: Dict[int, List[Tuple[str, Optional[str]]]] = {
-        rid: candidates for rid in region_ids
-    }
-    if static_prune:
-        from repro.tools.check import bad_region_map
-
-        illegal = {
-            c: frozenset(bad_region_map(programs[c])) for c in candidates
-        }
-        for rid in region_ids:
-            kept = [c for c in candidates if rid not in illegal[c]]
-            if kept and len(kept) < len(candidates):
-                pruned += len(candidates) - len(kept)
-                region_cands[rid] = kept
 
     # Joint searches price load imbalance: per-strategy iteration-weight
     # skew, scaled by each region's compute time from one baseline
@@ -818,6 +765,7 @@ def tune_per_region(
         return (0 if s == auto_spec.get(rid) else 1, STRATEGIES.index(s))
 
     # 2. Analytic tier: decide regions with a clear model margin.
+    evaluated = 0
     decisions: Dict[int, RegionDecision] = {}
     ambiguous: Dict[int, List[Tuple[str, Optional[str]]]] = {}
     model_costs: Dict[int, Dict[Tuple[str, Optional[str]], ModelCost]] = {}
@@ -825,31 +773,18 @@ def tune_per_region(
         int, Dict[Optional[str], Tuple[str, Optional[str]]]
     ] = {}
     for rid in region_ids:
-        cands = region_cands[rid]
+        cands = candidates
 
         def _priced(cal=None) -> Dict[Tuple[str, Optional[str]], ModelCost]:
-            """Price every surviving candidate, sharing one ModelCost
-            between structural duplicates when pruning is on."""
-            nonlocal evaluated, pruned
-            out: Dict[Tuple[str, Optional[str]], ModelCost] = {}
-            shared: Dict[tuple, ModelCost] = {}
-            for c in cands:
-                pk = None
-                if static_prune:
-                    pk = _plan_price_key(programs[c].plans[rid])
-                    hit = shared.get(pk)
-                    if hit is not None:
-                        pruned += 1
-                        out[c] = hit
-                        continue
-                cost = region_model_cost(
+            """Price every candidate of this region."""
+            nonlocal evaluated
+            evaluated += len(cands)
+            return {
+                c: region_model_cost(
                     programs[c].plans[rid], params, calibration=cal
                 )
-                evaluated += 1
-                if pk is not None:
-                    shared[pk] = cost
-                out[c] = cost
-            return out
+                for c in cands
+            }
 
         costs = _priced()
         model_costs[rid] = costs
@@ -1197,7 +1132,6 @@ def tune_per_region(
         partition_map=partition_map,
         calibration_sha256=cal_sha,
         evaluated_candidates=evaluated,
-        pruned_candidates=pruned,
     )
     if cache_dir is not None:
         store_row(cache_dir, key, plan.to_jsonable())

@@ -154,7 +154,7 @@ def test_cli_surfaces_partition_error(tmp_path, capsys):
 
     assert main(["run", "MM-16", "--partition", "block:7"]) == 2
     msg = capsys.readouterr().err
-    assert msg.startswith("partition:") and "region 0" in msg
+    assert msg.startswith("repro: ") and "region 0" in msg
     # Syntactically bad specs die in argparse, before compilation.
     with pytest.raises(SystemExit):
         main(["run", "MM-16", "--partition", "zigzag"])

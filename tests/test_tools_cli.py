@@ -111,9 +111,12 @@ def test_cli_sanitize_rejects_timing_mode(mm_file, capsys):
     assert "value mode" in capsys.readouterr().err
 
 
-def test_cli_missing_artifacts_exit_2_without_traceback(mm_file, capsys):
-    """Unloadable plan/calibration/fault/grid artifacts are CLI errors
-    (exit 2, message on stderr), never tracebacks."""
+def test_cli_missing_artifacts_exit_2_without_traceback(
+    mm_file, tmp_path, capsys
+):
+    """Unloadable plan/calibration/fault/grid artifacts and unparsable
+    sources are CLI errors (exit 2, message on stderr), never
+    tracebacks."""
     for argv in (
         ["run", mm_file, "--tune-plan", "/no/such/plan.json"],
         ["run", mm_file, "--faults", "/no/such/faults.json"],
@@ -123,6 +126,16 @@ def test_cli_missing_artifacts_exit_2_without_traceback(mm_file, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "cannot load" in err
+    bad = tmp_path / "bad.f"
+    bad.write_text("      PROGRAM P\n      REAL*8 A(8\n      END\n")
+    for argv in (
+        ["run", str(bad)],
+        ["check", str(bad)],
+        ["autotune", str(bad), "--no-cache"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: line 2:")
 
 
 def test_cli_malformed_artifact_exits_2(mm_file, tmp_path, capsys):
@@ -134,3 +147,19 @@ def test_cli_malformed_artifact_exits_2(mm_file, tmp_path, capsys):
     bad.write_text('{"kind": "calibration"}')
     assert main(["run", mm_file, "--tune-plan", str(bad)]) == 2
     assert "cannot load" in capsys.readouterr().err
+
+
+def test_user_input_errors_share_one_root():
+    from repro.compiler.frontend.lexer import LexError
+    from repro.compiler.frontend.lower import LowerError
+    from repro.compiler.frontend.parser import ParseError
+    from repro.compiler.frontend.symtab import SymtabError
+    from repro.compiler.postpass.partition import PartitionError
+    from repro.errors import ReproError
+    from repro.sweep.grid import SweepConfigError
+
+    for cls in (LowerError, LexError, PartitionError, SweepConfigError,
+                SymtabError):
+        assert issubclass(cls, ReproError) and issubclass(cls, ValueError)
+    assert issubclass(ParseError, ReproError)
+    assert issubclass(ParseError, SyntaxError)

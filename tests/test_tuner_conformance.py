@@ -150,6 +150,26 @@ def test_warm_plan_round_trips_byte_identically(tmp_path):
     assert warm.to_jsonable() == cold.to_jsonable()
 
 
+def test_faulted_plan_never_serves_a_healthy_tune(tmp_path):
+    """Fault delays change the profile timings a plan records, so an
+    active fault plan joins the cache key: a healthy tune after a faulted
+    one on the same cache must miss and recompute the healthy plan."""
+    src = source_for("MM-24")
+    kw = dict(nprocs=4, metric="comm", backend="vbus", tune_partition=True)
+    faulted = tune_per_region(
+        src, cache_dir=str(tmp_path), faults=DELAYS, **kw
+    )
+    healthy = tune_per_region(src, cache_dir=str(tmp_path), **kw)
+    assert not faulted.cached and not healthy.cached
+    fresh = tune_per_region(src, cache_dir=None, **kw)
+    assert healthy.to_jsonable() == fresh.to_jsonable()
+    assert faulted.to_jsonable() != fresh.to_jsonable()
+    # An inactive fault plan keeps the healthy key.
+    assert plan_cache_key(
+        src, "vbus", 4, "comm", 0.05, faults=FaultPlan()
+    ) == plan_cache_key(src, "vbus", 4, "comm", 0.05)
+
+
 def test_uniform_imbalance_skips_baseline_profile(monkeypatch):
     """A workload whose block and cyclic owner maps are equally (im)balanced
     gives the imbalance term a common factor across every candidate — a

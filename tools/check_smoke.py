@@ -11,11 +11,7 @@ Asserts the checking stack's corpus-wide guarantees, end to end:
   single violation;
 * **no false negatives**: every seeded-bug program in tests/badprogs
   is flagged with its manifest's expected codes, and its sanitized run
-  observes the defect dynamically;
-* **pruning saves work, never changes answers**: on every PR 8/9
-  study cell the autotuner with its static pruning tier emits a
-  TunePlan byte-identical to the unpruned search while performing
-  strictly fewer analytic evaluations.
+  observes the defect dynamically.
 
 Run: ``PYTHONPATH=src python tools/check_smoke.py``
 """
@@ -32,7 +28,6 @@ from repro.compiler.pipeline import compile_source
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json
 from repro.tools.check import check_source
-from repro.tools.tuneplan import tune_per_region
 from repro.workloads import source_for
 
 REPO = Path(__file__).resolve().parents[1]
@@ -43,18 +38,6 @@ HEALTHY = ("MM-16", "SWIM-16", "JACOBI-12", "CFFZINIT-5",
            "XOVER-24", "PXOVER-24")
 GRAINS = ("fine", "middle", "coarse")
 PARTITIONS = ("auto", "block", "cyclic")
-
-#: The PR 8/9 autotuner study cells (tools/partition_smoke.py CELLS +
-#: tools/calibrate_smoke.py PROBE_CELL): pruning must not move a byte
-#: of any of their plans.
-TUNER_CELLS = (
-    ("PXOVER-48", "gige"),
-    ("PXOVER-48", "ethernet100"),
-    ("PXOVER-32", "vbus"),
-    ("MM-32", "gige"),
-    ("MM-96", "ethernet100"),
-)
-
 
 def _healthy_corpus(cache: str) -> int:
     checks = sanitized = 0
@@ -121,39 +104,10 @@ def _badprog_corpus() -> int:
     return 0
 
 
-def _tuner_pruning() -> int:
-    for spec, backend in TUNER_CELLS:
-        source = source_for(spec)
-        kw = dict(
-            nprocs=4, metric="comm", backend=backend, cache_dir=None,
-            tune_partition=True,
-        )
-        pruned = tune_per_region(source, static_prune=True, **kw)
-        full = tune_per_region(source, static_prune=False, **kw)
-        if canonical_json(pruned.to_jsonable()) != canonical_json(
-            full.to_jsonable()
-        ):
-            print(f"FAIL: {spec}/{backend}: pruned plan is not "
-                  "byte-identical to the unpruned plan")
-            return 1
-        if not pruned.evaluated_candidates < full.evaluated_candidates:
-            print(f"FAIL: {spec}/{backend}: pruning saved nothing "
-                  f"({pruned.evaluated_candidates} vs "
-                  f"{full.evaluated_candidates} evaluation(s))")
-            return 1
-        print(f"  {spec}/{backend}: plan byte-identical, "
-              f"{full.evaluated_candidates} -> "
-              f"{pruned.evaluated_candidates} evaluation(s) "
-              f"({pruned.pruned_candidates} pruned)")
-    print(f"tuner pruning OK: {len(TUNER_CELLS)} study cell(s)")
-    return 0
-
-
 def main() -> int:
     cache = tempfile.mkdtemp(prefix="check-smoke-")
     try:
-        for stage in (lambda: _healthy_corpus(cache), _badprog_corpus,
-                      _tuner_pruning):
+        for stage in (lambda: _healthy_corpus(cache), _badprog_corpus):
             rc = stage()
             if rc:
                 return rc

@@ -73,7 +73,7 @@ echo "== calibrate smoke (fit, warm-cache byte-identity, probe pruning) =="
 python tools/calibrate_smoke.py
 
 echo
-echo "== check smoke (verifier corpus, sanitizer contract, pruning) =="
+echo "== check smoke (verifier corpus, sanitizer contract) =="
 python tools/check_smoke.py
 
 echo
