@@ -15,10 +15,10 @@ direction into the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,12 +301,6 @@ class LMAD:
                     continue
             merged.append(d)
         return LMAD(self.array, self.base, tuple(merged), exact=self.exact)
-
-    def shifted(self, delta: int) -> "LMAD":
-        return replace(self, base=self.base + delta)
-
-    def with_dims(self, dims: Iterable[Dim]) -> "LMAD":
-        return replace(self, dims=tuple(dims))
 
     def bounding(self) -> "LMAD":
         """The contiguous approximation covering min..max offset."""

@@ -68,12 +68,6 @@ class ArraySummary:
             return READ_WRITE
         return WRITE_FIRST
 
-    def union_reads(self) -> List[LMAD]:
-        return list(self.reads)
-
-    def union_writes(self) -> List[LMAD]:
-        return list(self.writes)
-
 
 @dataclass
 class ScalarSummary:

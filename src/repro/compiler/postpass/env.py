@@ -40,9 +40,6 @@ class MpiEnvironment:
     #: Array name -> flat size in elements.
     sizes: Dict[str, int] = field(default_factory=dict)
 
-    def needs_window(self, array: str) -> bool:
-        return array in self.window_arrays
-
 
 def _names_in_stmts(stmts) -> Set[str]:
     names: Set[str] = set()

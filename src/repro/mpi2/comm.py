@@ -118,12 +118,6 @@ class Comm(CollectiveMixin):
     def sim(self) -> Simulator:
         return self._state.cluster.sim
 
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
-
     def _check_rank(self, r: int, what: str = "rank") -> None:
         if not 0 <= r < self.size:
             raise MpiError(f"{what} {r} out of range (size={self.size})")
@@ -279,6 +273,3 @@ class Mpi2Runtime:
         if not 0 <= rank < self.size:
             raise MpiError(f"rank {rank} out of range")
         return self._comms[rank]
-
-    def total_comm_s(self) -> float:
-        return sum(c.comm_s for c in self._comms)

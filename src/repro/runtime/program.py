@@ -42,10 +42,6 @@ class SpmdProgram:
 
         return [r for r in iter_regions(self.regions) if isinstance(r, ParRegion)]
 
-    def grain_of(self, region_id: int) -> str:
-        """The effective communication grain of one parallel region."""
-        return self.options.grain_for(region_id)
-
     def summary(self) -> str:
         if self.options.mixed_grain:
             gm = dict(self.options.grain_map)

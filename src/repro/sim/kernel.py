@@ -249,10 +249,6 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = _Initialize(sim, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
@@ -454,10 +450,6 @@ class Simulator:
         """Current simulation time (seconds)."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -495,12 +487,6 @@ class Simulator:
         t._value = value
         self._schedule_at(t, at, priority=NORMAL)
         return t
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- pooled one-shot timeouts -----------------------------------------
     def pooled_timeout_at(

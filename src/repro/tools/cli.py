@@ -154,9 +154,7 @@ def _source_text(source: str) -> str:
 
     if is_spec(source):
         return source_for(source)
-    raise SystemExit(
-        f"repro: {source!r} is neither a file nor a workload spec"
-    )
+    raise ReproError(f"{source!r} is neither a file nor a workload spec")
 
 
 def _cluster(args):

@@ -160,7 +160,9 @@ class ClusterParams:
     #: Batched transfer accounting: charge provably-uncontended wire legs
     #: analytically (O(1) events) instead of stepwise.  Simulated results
     #: are bit-identical (see repro.vbus.fastpath); only wall-clock drops.
-    fast_path: bool = False
+    #: ``False`` selects the stepwise oracle that equivalence checks compare
+    #: against.
+    fast_path: bool = True
     #: Attach a :class:`repro.obs.Tracer` to the simulation: every layer
     #: (kernel, channels, NICs, V-Bus, MPI-2, runtime) records spans and
     #: metrics.  Observation only — simulated results are bit-identical

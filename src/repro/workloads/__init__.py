@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from typing import Optional, Tuple
 
+from repro.errors import ReproError
 from repro.workloads import cffzinit, jacobi, mm, swim, synthetic
 
 __all__ = [
@@ -40,8 +41,9 @@ __all__ = [
 ]
 
 
-class WorkloadSpecError(ValueError):
-    """A malformed or unknown workload spec string."""
+class WorkloadSpecError(ReproError, ValueError):
+    """A malformed or unknown workload spec string, or a size its
+    generator rejects (``MM-0``)."""
 
 
 #: Spec kinds with real Fortran sources.  ``CRASH`` (test-only: kills the
@@ -81,24 +83,33 @@ def parse_spec(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
 
 
 def source_for(spec: str) -> str:
-    """The Fortran source of a workload spec (``MM-256`` → MM at 256²)."""
+    """The Fortran source of a workload spec (``MM-256`` → MM at 256²).
+
+    A size the generator rejects (``MM-0``) is a
+    :class:`WorkloadSpecError` naming the spec.
+    """
     kind, size, extra = parse_spec(spec)
-    if kind == "MM":
-        return mm.source(size)
-    if kind == "SWIM":
-        return swim.source(size, itmax=extra if extra is not None else 1)
-    if kind == "CFFZINIT":
-        return cffzinit.source(size)
-    if kind == "JACOBI":
-        return jacobi.source(n=size, steps=extra if extra is not None else 25)
-    if kind == "XOVER":
-        return synthetic.crossover_kernel(
-            size, stride=extra if extra is not None else 8
-        )
-    if kind == "PXOVER":
-        return synthetic.partition_crossover_kernel(
-            size, width=extra if extra is not None else 4
-        )
+    try:
+        if kind == "MM":
+            return mm.source(size)
+        if kind == "SWIM":
+            return swim.source(size, itmax=extra if extra is not None else 1)
+        if kind == "CFFZINIT":
+            return cffzinit.source(size)
+        if kind == "JACOBI":
+            return jacobi.source(
+                n=size, steps=extra if extra is not None else 25
+            )
+        if kind == "XOVER":
+            return synthetic.crossover_kernel(
+                size, stride=extra if extra is not None else 8
+            )
+        if kind == "PXOVER":
+            return synthetic.partition_crossover_kernel(
+                size, width=extra if extra is not None else 4
+            )
+    except ValueError as exc:
+        raise WorkloadSpecError(f"workload {spec!r}: {exc}") from exc
     raise WorkloadSpecError(f"workload {spec!r} has no Fortran source")
 
 

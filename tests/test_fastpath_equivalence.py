@@ -252,6 +252,33 @@ def test_program_equivalence_cffzinit():
     assert fast.total_s == slow.total_s
 
 
+def test_default_params_take_the_fast_path_at_scale():
+    """A 16-rank job runs on the fast path with no params or with
+    ``cluster_for``; the oracle needs an explicit ``fast_path=False``."""
+    from repro.compiler.pipeline import compile_source
+    from repro.runtime.executor import run_program
+    from repro.vbus.params import cluster_for
+    from repro.workloads import mm
+
+    nprocs = 16
+    prog = compile_source(mm.source(64), nprocs=nprocs, granularity="fine")
+    oracle = run_program(
+        prog,
+        cluster_params=replace(cluster_for(nprocs), fast_path=False),
+        execute=False,
+    )
+    assert oracle.hw["fast_legs"] == 0
+    oracle_hw = {k: v for k, v in oracle.hw.items() if not _is_fast_key(k)}
+    for params in (None, cluster_for(nprocs)):
+        fast = run_program(prog, cluster_params=params, execute=False)
+        assert fast.hw["fast_legs"] > 0
+        assert fast.total_s == oracle.total_s
+        assert fast.comm_max_s == oracle.comm_max_s
+        assert {
+            k: v for k, v in fast.hw.items() if not _is_fast_key(k)
+        } == oracle_hw
+
+
 # ---------------------------------------------------------------------------
 # Fast-path bookkeeping
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the command-line driver."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -114,9 +115,10 @@ def test_cli_sanitize_rejects_timing_mode(mm_file, capsys):
 def test_cli_missing_artifacts_exit_2_without_traceback(
     mm_file, tmp_path, capsys
 ):
-    """Unloadable plan/calibration/fault/grid artifacts and unparsable
-    sources are CLI errors (exit 2, message on stderr), never
-    tracebacks."""
+    """Unloadable plan/calibration/fault/grid artifacts, unparsable
+    sources, workload sizes the generators reject and paths that are
+    neither a file nor a spec are CLI errors (exit 2, message on
+    stderr), never tracebacks."""
     for argv in (
         ["run", mm_file, "--tune-plan", "/no/such/plan.json"],
         ["run", mm_file, "--faults", "/no/such/faults.json"],
@@ -136,6 +138,39 @@ def test_cli_missing_artifacts_exit_2_without_traceback(
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: line 2:")
+    for argv in (
+        ["run", "MM-0"],
+        ["run", "XOVER-1"],
+        ["autotune", "MM-0", "--no-cache"],
+        ["check", "JACOBI-0x2"],
+        ["run", "/no/such.f"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and repr(argv[1]) in err
+
+
+def test_cli_sweep_cold_then_warm_is_byte_identical(tmp_path, capsys):
+    """A cold ``--jobs 2`` sweep, then a serial rerun served wholly from
+    the result cache: same JSONL bytes, all six jobs cache hits."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "name": "ci-smoke",
+        "axes": {
+            "workload": ["MM-16", "JACOBI-8x2", "CFFZINIT-5"],
+            "nprocs": [2, 4],
+        },
+        "defaults": {"granularity": "coarse"},
+    }))
+    cache = str(tmp_path / "cache")
+    cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    assert main(["sweep", str(grid), "--jobs", "2", "--quiet",
+                 "--cache-dir", cache, "-o", str(cold)]) == 0
+    capsys.readouterr()
+    assert main(["sweep", str(grid), "--quiet",
+                 "--cache-dir", cache, "-o", str(warm)]) == 0
+    assert "6 cache hit(s)" in capsys.readouterr().out
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_cli_malformed_artifact_exits_2(mm_file, tmp_path, capsys):
@@ -157,9 +192,10 @@ def test_user_input_errors_share_one_root():
     from repro.compiler.postpass.partition import PartitionError
     from repro.errors import ReproError
     from repro.sweep.grid import SweepConfigError
+    from repro.workloads import WorkloadSpecError
 
     for cls in (LowerError, LexError, PartitionError, SweepConfigError,
-                SymtabError):
+                SymtabError, WorkloadSpecError):
         assert issubclass(cls, ReproError) and issubclass(cls, ValueError)
     assert issubclass(ParseError, ReproError)
     assert issubclass(ParseError, SyntaxError)
