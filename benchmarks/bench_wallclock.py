@@ -62,7 +62,6 @@ from repro.compiler.analysis import lmad as lmad_mod
 from repro.compiler.pipeline import clear_compile_cache, compile_source
 from repro.runtime.executor import run_program
 from repro.sweep import run_sweep, write_jsonl
-from repro.vbus.params import cluster_for
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -135,9 +134,8 @@ def _timed_sweep(grid, *, jobs, cache_dir):
 def _autotune_suite(quick: bool):
     """Per-region search vs the 3-recompile global baseline."""
     from repro.compiler.postpass.granularity import GRAINS
-    from repro.sweep.runner import BACKENDS
+    from repro.sweep.runner import cluster_params
     from repro.tools.tuneplan import tune_per_region
-    from repro.vbus import params as P
     from repro.workloads import source_for
 
     cells = AUTOTUNE_CELLS[:2] if quick else AUTOTUNE_CELLS
@@ -147,7 +145,7 @@ def _autotune_suite(quick: bool):
     try:
         for spec, backend in cells:
             source = source_for(spec)
-            params = cluster_for(4, getattr(P, BACKENDS[backend]))
+            params = cluster_params(backend, 4)
 
             _clear_analysis_caches()
             t0 = time.perf_counter()
@@ -220,9 +218,8 @@ def _partition_suite(quick: bool):
     """Joint grain x partition search vs the naive 6-recompile sweep."""
     from repro.compiler.pipeline import CompileOptions
     from repro.compiler.postpass.partition import STRATEGIES
-    from repro.sweep.runner import BACKENDS, GRANULARITIES
+    from repro.sweep.runner import GRANULARITIES, cluster_params
     from repro.tools.tuneplan import tune_per_region
-    from repro.vbus import params as P
     from repro.workloads import source_for
 
     cells = PARTITION_CELLS[:2] if quick else PARTITION_CELLS
@@ -232,7 +229,7 @@ def _partition_suite(quick: bool):
     try:
         for spec, backend in cells:
             source = source_for(spec)
-            params = cluster_for(4, getattr(P, BACKENDS[backend]))
+            params = cluster_params(backend, 4)
 
             # Naive baseline: every grain x strategy variant, compiled
             # and profiled from fully cold caches — what a user without
@@ -318,10 +315,9 @@ def _partition_suite(quick: bool):
 
 def _calibration_suite(quick: bool):
     """Calibrated vs uncalibrated joint tuner on the partition cells."""
-    from repro.sweep.runner import BACKENDS
+    from repro.sweep.runner import cluster_params
     from repro.tools.calibrate import calibrate
     from repro.tools.tuneplan import tune_per_region
-    from repro.vbus import params as P
     from repro.workloads import source_for
 
     cells = PARTITION_CELLS[:2] if quick else PARTITION_CELLS
@@ -337,7 +333,7 @@ def _calibration_suite(quick: bool):
                 fit_total += time.perf_counter() - t0
         for spec, backend in cells:
             source = source_for(spec)
-            params = cluster_for(4, getattr(P, BACKENDS[backend]))
+            params = cluster_params(backend, 4)
             model = models[backend]
 
             _clear_analysis_caches()

@@ -9,8 +9,6 @@ scatter/collect + granularity together, then code emission).
 
 from __future__ import annotations
 
-from typing import Optional, Set
-
 from repro.compiler.analysis.access import AccessError, loop_context
 from repro.compiler.analysis.parallel import detect_parallelism
 from repro.compiler.frontend import fast as F
@@ -68,15 +66,7 @@ def run_postpass(unit: F.Unit, options) -> SpmdProgram:
             symtab=unit.symtab,
             regions=regions,
             env=env,
-            nprocs=options.nprocs,
-            grain=options.granularity,
-            partition_strategy=options.partition,
-            live_out=options.live_out,
-            use_avpg=options.avpg,
-            grain_map=dict(getattr(options, "grain_map", None) or ()),
-            partition_map=dict(
-                getattr(options, "partition_map", None) or ()
-            ),
+            options=options,
         )
         try:
             plans = planner.plan()

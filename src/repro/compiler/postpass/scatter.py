@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.compiler.postpass.env import MpiEnvironment
 from repro.compiler.postpass.granularity import (
     COARSE,
     FINE,
-    GRAINS,
     MIDDLE,
     Transfer,
     plan_transfers,
@@ -232,36 +231,18 @@ class CommPlanner:
         symtab: SymbolTable,
         regions: List[Region],
         env: MpiEnvironment,
-        nprocs: int,
-        grain: str = COARSE,
-        partition_strategy: str = "auto",
-        live_out: Optional[Set[str]] = None,
-        use_avpg: bool = True,
-        grain_map: Optional[Dict[int, str]] = None,
-        partition_map: Optional[Dict[int, str]] = None,
+        options,
     ):
-        if grain not in GRAINS:
-            raise PlanError(f"unknown granularity {grain!r}")
-        for rid, g in (grain_map or {}).items():
-            if g not in GRAINS:
-                raise PlanError(f"unknown granularity {g!r} for region {rid}")
-        for rid, spec in (partition_map or {}).items():
-            try:
-                parse_strategy(spec)
-            except ValueError as exc:
-                raise PartitionError(str(exc), region_id=rid) from None
-        self.use_avpg = use_avpg
+        #: The validated :class:`~repro.compiler.pipeline.CompileOptions`;
+        #: per-region grain and §5.3 strategy resolve through its
+        #: ``grain_for``/``partition_for`` (docs/AUTOTUNE.md,
+        #: docs/PARTITION.md).
+        self.options = options
         self.symtab = symtab
         self.regions = regions
         self.env = env
-        self.nprocs = nprocs
-        self.grain = grain
-        #: Per-region grain overrides (mixed-grain plans, docs/AUTOTUNE.md).
-        self.grain_map: Dict[int, str] = dict(grain_map or {})
-        self.partition_strategy = partition_strategy
-        #: Per-region partition-strategy overrides (docs/PARTITION.md).
-        self.partition_map: Dict[int, str] = dict(partition_map or {})
-        self.avpg: Avpg = build_avpg(regions, symtab, live_out)
+        self.nprocs = nprocs = options.nprocs
+        self.avpg: Avpg = build_avpg(regions, symtab, options.live_out)
         #: (array) -> (nprocs, size) validity mask: slave copy current?
         self._valid: Dict[str, np.ndarray] = {
             name: np.zeros((nprocs, env.sizes[name]), dtype=bool)
@@ -341,12 +322,13 @@ class CommPlanner:
         except PartitionError:
             raise
         except PlanError as exc:
-            if region.region_id in self.partition_map:
+            pinned = dict(self.options.partition_map or ())
+            if region.region_id in pinned:
                 # The user (or the tuner) explicitly pinned this region's
                 # strategy; demoting the loop to serial would silently
                 # discard that request.  Escalate with provenance instead.
                 raise PartitionError(
-                    f"override {self.partition_map[region.region_id]!r} "
+                    f"override {pinned[region.region_id]!r} "
                     f"cannot be planned safely: {exc}",
                     region_id=region.region_id,
                     loop_var=region.loop.var,
@@ -366,9 +348,7 @@ class CommPlanner:
                 f"parallel loop DO {loop.var}: bounds are not compile-time "
                 f"constants ({exc}); the front end should have kept it serial"
             )
-        requested = self.partition_map.get(
-            region.region_id, self.partition_strategy
-        )
+        requested = self.options.partition_for(region.region_id)
         try:
             spec = choose_strategy(loop, requested)
             sname, sdim = parse_strategy(spec)
@@ -412,7 +392,7 @@ class CommPlanner:
             return
 
         per_rank = self._rank_regions(loop, partition, region_summary)
-        region_grain = self.grain_map.get(region.region_id, self.grain)
+        region_grain = self.options.grain_for(region.region_id)
 
         for name, arr in sorted(region_summary.arrays.items()):
             cls = arr.classification
@@ -575,7 +555,7 @@ class CommPlanner:
             if not info.read_mask.any():
                 continue
             need = info.read_mask & ~valid[r]
-            if self.use_avpg and not need.any():
+            if self.options.avpg and not need.any():
                 aplan.scatter_skipped[r] = "AVPG: slave copy already valid"
                 plan.notes.append(
                     f"{aplan.array}: scatter to rank {r} eliminated (valid)"
@@ -612,7 +592,9 @@ class CommPlanner:
         scattered: Dict[int, np.ndarray],
         region_id: int,
     ) -> None:
-        if self.use_avpg and not self.avpg.reads_after(region_id, aplan.array):
+        if self.options.avpg and not self.avpg.reads_after(
+            region_id, aplan.array
+        ):
             aplan.collect_skipped = "AVPG: array dead after region"
             plan.notes.append(
                 f"{aplan.array}: collect eliminated (Valid->Invalid edge)"

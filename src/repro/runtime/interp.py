@@ -28,14 +28,19 @@ import numpy as np
 
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.symtab import SymbolTable
+from repro.errors import ReproError
 from repro.runtime.memory import RankMemory
 from repro.vbus.params import CpuParams
 
-__all__ = ["Interpreter", "InterpError"]
+__all__ = ["Interpreter", "InterpError", "SubscriptError"]
 
 
 class InterpError(RuntimeError):
     """Runtime evaluation failure (unbound name, bad subscript, ...)."""
+
+
+class SubscriptError(InterpError, ReproError):
+    """A subscript past the declared end of its array (a program bug)."""
 
 
 def _is_int_like(x) -> bool:
@@ -189,9 +194,12 @@ class Interpreter:
                 return 0.0
             idx = self._flat_index(e, env)
             arr = self.mem.arrays[e.name]
-            if self.probe is not None:
-                self.probe(e.name, idx, False)
-            return arr[idx]
+            try:
+                if self.probe is not None:
+                    self.probe(e.name, idx, False)
+                return arr[idx]
+            except IndexError:
+                raise self._out_of_range(e.name) from None
         if isinstance(e, F.BinOp):
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
@@ -284,9 +292,12 @@ class Interpreter:
                     return
                 idx = self._flat_index(s.lhs, env)
                 value = self.eval(s.rhs, env)
-                if self.probe is not None:
-                    self.probe(s.lhs.name, idx, True)
-                self.mem.arrays[s.lhs.name][idx] = value
+                try:
+                    if self.probe is not None:
+                        self.probe(s.lhs.name, idx, True)
+                    self.mem.arrays[s.lhs.name][idx] = value
+                except IndexError:
+                    raise self._out_of_range(s.lhs.name) from None
         elif isinstance(s, F.Do):
             self.run_loop(s, env)
         elif isinstance(s, F.If):
@@ -310,6 +321,14 @@ class Interpreter:
             self.prints.append(" ".join(parts))
         elif isinstance(s, F.Call):  # pragma: no cover - inlined by FE
             raise InterpError("CALL reached the interpreter")
+
+    def _out_of_range(self, name: str) -> SubscriptError:
+        # Raised from ``except IndexError`` only: the in-range path pays
+        # no bounds comparison.  Negative flat indices still wrap.
+        return SubscriptError(
+            f"subscript out of range for array {name} "
+            f"(declared size {self.mem.arrays[name].size})"
+        )
 
     @staticmethod
     def _fmt(v) -> str:
@@ -486,9 +505,12 @@ class Interpreter:
             value = self.eval(stmt.rhs, venv)
         except InterpError:
             return False
-        if self.probe is not None:
-            self.probe(name, lhs_idx, True)
-        self.mem.arrays[name][lhs_idx] = value
+        try:
+            if self.probe is not None:
+                self.probe(name, lhs_idx, True)
+            self.mem.arrays[name][lhs_idx] = value
+        except IndexError:
+            raise self._out_of_range(name) from None
         return True
 
     def _reduction_parts(self, stmt: F.Assign, lhs_key) -> Optional[tuple]:
@@ -583,8 +605,11 @@ class Interpreter:
         if np.ndim(vec) == 0:
             vec = np.full(len(values), vec)
         arr = self.mem.arrays[stmt.lhs.name]
-        if self.probe is not None:
-            self.probe(stmt.lhs.name, slot, False)
-            self.probe(stmt.lhs.name, slot, True)
-        arr[slot] = self._apply_reduction(op, arr[slot], vec)
+        try:
+            if self.probe is not None:
+                self.probe(stmt.lhs.name, slot, False)
+                self.probe(stmt.lhs.name, slot, True)
+            arr[slot] = self._apply_reduction(op, arr[slot], vec)
+        except IndexError:
+            raise self._out_of_range(stmt.lhs.name) from None
         return True

@@ -21,7 +21,8 @@ Violation codes mirror the static ones they cross-validate:
 * ``S-FENCE`` — a transfer phase ran without its closing fence epoch
   (RV301/RV302).
 
-The contract asserted over the whole corpus (tools/check_smoke.py):
+The contract asserted over the whole corpus
+(``tests/test_check.py::test_healthy_workloads_are_clean``):
 **static-clean implies sanitizer-clean**.  The converse is not promised —
 the sanitizer only sees one partition/grain execution, the verifier all
 of them.

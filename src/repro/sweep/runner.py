@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 __all__ = [
     "BACKENDS",
     "GRANULARITIES",
     "SweepWorkerLost",
+    "cluster_params",
     "parse_workload",
     "run_job",
 ]
@@ -47,6 +49,18 @@ BACKENDS = {
     "ethernet100": "ETHERNET_100",
     "gige": "GIGE_SWITCHED",
 }
+
+
+def cluster_params(backend: str, nprocs: int):
+    """The ``ClusterParams`` preset for ``backend``, resized to ``nprocs``."""
+    from repro.vbus import params as P
+
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; use one of {sorted(BACKENDS)}"
+        )
+    return P.cluster_for(nprocs, getattr(P, BACKENDS[backend]))
+
 
 def parse_workload(spec: str) -> Tuple[str, Optional[int], Optional[int]]:
     """Split a workload spec like ``MM-256`` or ``JACOBI-64x10``.
@@ -75,17 +89,6 @@ def _workload_source(spec: str) -> str:
     from repro.workloads import source_for
 
     return source_for(spec)
-
-
-def _cluster_params(config: Dict):
-    from dataclasses import replace
-
-    from repro.vbus import params as P
-
-    base = getattr(P, BACKENDS[config["backend"]])
-    return replace(
-        P.cluster_for(config["nprocs"], base), fast_path=config["fast_path"]
-    )
 
 
 def job_seed(config: Dict, key: str) -> int:
@@ -149,7 +152,10 @@ def run_job(config: Dict, key: str) -> Dict:
                 nprocs=config["nprocs"],
                 granularity=config["granularity"],
             )
-        params = _cluster_params(config)
+        params = replace(
+            cluster_params(config["backend"], config["nprocs"]),
+            fast_path=config["fast_path"],
+        )
         calibration = config.get("calibration")
         if calibration is not None:
             # A calibrated job carries the fitted model's per-region comm

@@ -310,13 +310,9 @@ def calibrate(
     call returns the cached artifact byte-identically without touching
     the simulator.  ``cache_dir=None`` disables caching.
     """
-    from repro.sweep.runner import BACKENDS
-    from repro.vbus import params as P
+    from repro.sweep.runner import cluster_params
 
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; use one of {sorted(BACKENDS)}"
-        )
+    params = cluster_params(backend, nprocs)
     if nprocs < 2:
         raise ValueError("calibration needs nprocs >= 2 (no comm otherwise)")
 
@@ -329,7 +325,6 @@ def calibrate(
             except (KeyError, TypeError, ValueError):
                 pass  # a stale/corrupt artifact is a miss; refit below
 
-    params = P.cluster_for(nprocs, getattr(P, BACKENDS[backend]))
     samples: List[Dict] = []
     for name, source, grain, partition in suite_cells():
         cell_key = None

@@ -276,7 +276,7 @@ class _VerifyingPlanner(CommPlanner):
 
             # RV102: observable writes must be collected.
             if cls in (WRITE_FIRST, READ_WRITE) and not (
-                self.use_avpg and not self.avpg.reads_after(rid, name)
+                self.options.avpg and not self.avpg.reads_after(rid, name)
             ):
                 for r in sorted(ranks_info):
                     info = ranks_info[r]
@@ -457,13 +457,7 @@ def check_program(program) -> CheckReport:
         symtab=program.unit.symtab,
         regions=regions,
         env=env,
-        nprocs=options.nprocs,
-        grain=options.granularity,
-        partition_strategy=options.partition,
-        live_out=options.live_out,
-        use_avpg=options.avpg,
-        grain_map=dict(options.grain_map or ()),
-        partition_map=dict(options.partition_map or ()),
+        options=options,
         emitted=program.plans,
     )
     planner.plan()

@@ -52,7 +52,7 @@ from repro.obs.export import (
     write_metrics_json,
 )
 from repro.runtime.executor import run_program, run_sequential
-from repro.sweep.runner import BACKENDS
+from repro.sweep.runner import BACKENDS, cluster_params
 from repro.tools.tuneplan import DEFAULT_EPSILON, METRICS, tune_per_region
 
 __all__ = ["main"]
@@ -161,9 +161,7 @@ def _cluster(args):
     """The resized ClusterParams for ``--backend``, or None (default)."""
     if getattr(args, "backend", None) is None:
         return None
-    from repro.vbus import params as P
-
-    return P.cluster_for(args.nprocs, getattr(P, BACKENDS[args.backend]))
+    return cluster_params(args.backend, args.nprocs)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -615,18 +615,6 @@ def plan_cache_key(
     return job_key(doc)
 
 
-def _resolve_backend(backend: Optional[str], nprocs: int):
-    from repro.sweep.runner import BACKENDS
-    from repro.vbus import params as P
-
-    name = backend if backend is not None else "vbus"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; use one of {sorted(BACKENDS)}"
-        )
-    return P.cluster_for(nprocs, getattr(P, BACKENDS[name]))
-
-
 def tune_per_region(
     source: str,
     nprocs: int = 4,
@@ -684,7 +672,9 @@ def tune_per_region(
             plan.cached = True
             return plan
 
-    params = _resolve_backend(backend, nprocs)
+    from repro.sweep.runner import cluster_params
+
+    params = cluster_params(backend or "vbus", nprocs)
 
     # 1. Compile every candidate variant; the cost model reads their
     #    plans.  Grain-only searches compile the three global grains;

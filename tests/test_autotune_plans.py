@@ -10,7 +10,6 @@ the CLI artifact must drive ``repro run --tune-plan``.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.compiler.pipeline import CompileOptions, compile_source
@@ -18,9 +17,8 @@ from repro.compiler.postpass.granularity import GRAINS
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json
-from repro.sweep.runner import BACKENDS
+from repro.sweep.runner import cluster_params
 from repro.tools.tuneplan import TunePlan, tune_per_region
-from repro.vbus import params as P
 from repro.workloads import source_for
 
 #: Two parallel regions with opposing grain preferences (see
@@ -32,9 +30,7 @@ JACOBI = source_for("JACOBI-32x3")
 
 
 def _digest(source, options, faults=None, backend="vbus"):
-    params = P.cluster_for(
-        options.nprocs, getattr(P, BACKENDS[backend])
-    )
+    params = cluster_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     rep = run_program(
         prog, cluster_params=params, execute=True, faults=faults
@@ -134,22 +130,30 @@ def test_executor_report_carries_grain_map():
 
 
 def _comm(source, options, backend):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = cluster_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     return run_program(prog, cluster_params=params, execute=False).comm_max_s
 
 
-@pytest.mark.parametrize("backend", ["gige", "vbus"])
-def test_tuned_plan_never_loses_to_globals(backend):
+@pytest.mark.parametrize(
+    "spec,backend",
+    [pytest.param("XOVER-64", b, id=b) for b in ("gige", "vbus", "ethernet100")]
+    + [("XOVER-256", "gige"), ("MM-64", "vbus"), ("JACOBI-32x3", "gige")],
+)
+def test_tuned_plan_never_loses_to_globals(spec, backend):
+    src = source_for(spec)
     plan = tune_per_region(
-        XOVER, nprocs=4, metric="comm", backend=backend, cache_dir=None
+        src, nprocs=4, metric="comm", backend=backend, cache_dir=None
     )
-    tuned = _comm(XOVER, plan.options(), backend)
+    tuned = _comm(src, plan.options(), backend)
     for g in GRAINS:
-        glob = _comm(
-            XOVER, CompileOptions(nprocs=4, granularity=g), backend
-        )
+        glob = _comm(src, CompileOptions(nprocs=4, granularity=g), backend)
         assert tuned <= glob
+    # Granularity is results-invariant: the tuned plan digests like the
+    # single-grain fine oracle.
+    assert _digest(src, plan.options(), backend=backend) == _digest(
+        src, CompileOptions(nprocs=4, granularity="fine"), backend=backend
+    )
 
 
 def test_tuned_plan_strictly_beats_globals_on_gige():

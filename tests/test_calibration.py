@@ -22,7 +22,7 @@ from repro.compiler.pipeline import compile_source
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json, job_key
 from repro.sweep.grid import SweepConfigError, expand_grid
-from repro.sweep.runner import BACKENDS, run_job
+from repro.sweep.runner import cluster_params, run_job
 from repro.tools.calibrate import CalibratedModel, calibrate
 
 #: The submodule itself — ``repro.tools`` re-exports the ``calibrate``
@@ -30,8 +30,7 @@ from repro.tools.calibrate import CalibratedModel, calibrate
 cal_mod = importlib.import_module("repro.tools.calibrate")
 from repro.tools.cli import main
 from repro.tools.tuneplan import plan_cache_key, tune_per_region
-from repro.vbus import params as P
-from repro.workloads import synthetic
+from repro.workloads import source_for, synthetic
 
 PXOVER = synthetic.partition_crossover_kernel(16)
 
@@ -111,10 +110,29 @@ def test_results_invariance_calibrated_vs_uncalibrated():
             calibration=calibration,
         )
         prog = compile_source(PXOVER, options=plan.options())
-        params = P.cluster_for(4, getattr(P, BACKENDS["gige"]))
+        params = cluster_params("gige", 4)
         report = run_program(prog, cluster_params=params, execute=True)
         digests.append(report.to_jsonable()["array_digest"])
     assert digests[0] == digests[1]
+
+
+def test_calibration_prunes_profiles_without_changing_the_plan():
+    """On an Ethernet cell where the uncalibrated joint search needs
+    measured profile runs, the fitted constants settle the identical
+    plan with strictly fewer of them."""
+    kw = dict(
+        nprocs=4, metric="comm", backend="ethernet100", cache_dir=None,
+        tune_partition=True,
+    )
+    source = source_for("MM-96")
+    uncal = tune_per_region(source, **kw)
+    cal = tune_per_region(
+        source, **kw, calibration=_fit("ethernet100", cache_dir=None)
+    )
+    assert cal.default_grain == uncal.default_grain
+    assert cal.grain_map == uncal.grain_map
+    assert cal.partition_map == uncal.partition_map
+    assert cal.profiles < uncal.profiles
 
 
 def test_calibration_joins_plan_cache_key_and_artifact(tmp_path):

@@ -42,18 +42,22 @@ def badprog(fname: str) -> str:
 # Healthy corpus: no false positives
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", ["MM-16", "JACOBI-12", "XOVER-24"])
-@pytest.mark.parametrize("granularity", ["fine", "coarse"])
+@pytest.mark.parametrize(
+    "spec",
+    ["MM-16", "JACOBI-12", "XOVER-24", "SWIM-16", "CFFZINIT-5", "PXOVER-24"],
+)
+@pytest.mark.parametrize("granularity", ["fine", "coarse", "middle"])
 @pytest.mark.parametrize("partition", ["auto", "block", "cyclic"])
 def test_healthy_workloads_are_clean(spec, granularity, partition):
-    report = check_source(
-        source_for(spec),
-        nprocs=4,
-        granularity=granularity,
-        partition=partition,
-    )
+    """Static-clean, and so sanitizer-clean: the shadow-access run of
+    the same variant observes no violation either."""
+    options = dict(nprocs=4, granularity=granularity, partition=partition)
+    source = source_for(spec)
+    report = check_source(source, **options)
     assert report.clean, report.summary()
     assert report.codes() == set()
+    run = run_program(compile_source(source, **options), sanitize=True)
+    assert run.sanitizer == {"clean": True, "violations": []}
 
 
 def test_clean_report_omits_empty_fields():

@@ -23,6 +23,7 @@ from repro.mpi2.exceptions import (
     MpiWatchdogError,
 )
 from repro.runtime.executor import run_program
+from repro.sweep import run_sweep
 from repro.tools.cli import main as cli_main
 from repro.vbus.params import VBUS_SKWP, cluster_for
 from repro.workloads import jacobi, mm
@@ -143,6 +144,61 @@ def test_random_plans_never_corrupt_never_hang(
         return
     _arrays_equal(clean4[workload], rep)
     assert rep.fault_stats["fault_silent_corruptions"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Seeded plans as a sweep axis: every row recovers or ends typed
+# ---------------------------------------------------------------------------
+def test_sweep_fault_axis_rows_recover_or_end_typed():
+    """A pure-loss plan, a corruption+jitter plan and a stall+kill plan
+    over two workloads, run uncached through ``repro.sweep`` with a
+    fault-free control per workload.  A faulted row is either ``fault``
+    (a typed error) or ``ok`` with the control's ``array_digest``;
+    no row is an untyped ``error``."""
+    plans = [
+        FaultPlan(
+            seed=11, specs=(FaultSpec(kind="drop", rate=0.05),),
+            max_sim_s=10.0,
+        ),
+        FaultPlan(
+            seed=22,
+            specs=(
+                FaultSpec(kind="corrupt", rate=0.03),
+                FaultSpec(kind="delay", rate=0.2, delay_s=5e-6),
+            ),
+            max_sim_s=10.0,
+        ),
+        FaultPlan(
+            seed=33,
+            specs=(
+                FaultSpec(kind="stall", node=1, t0=0.0, t1=1e-4),
+                FaultSpec(kind="kill", node=2, at_s=2e-4),
+            ),
+            max_sim_s=10.0,
+        ),
+    ]
+    grid = {
+        "name": "chaos",
+        "axes": {
+            "workload": ["JACOBI-16x2", "MM-12"],
+            "faults": [None] + [json.loads(p.to_json()) for p in plans],
+        },
+        "defaults": {"nprocs": 4, "granularity": "coarse", "execute": True},
+    }
+    rows = run_sweep(grid, cache_dir=None).rows
+    control = {
+        row["workload"]: row for row in rows if row["faults"] is None
+    }
+    assert len(control) == 2 and len(rows) == 8
+    for row in control.values():
+        assert row["status"] == "ok", row.get("error")
+    for row in rows:
+        assert row["status"] in ("ok", "fault"), row.get("error")
+        if row["status"] == "ok":
+            assert (
+                row["result"]["array_digest"]
+                == control[row["workload"]]["result"]["array_digest"]
+            ), (row["workload"], row["faults"])
 
 
 # ---------------------------------------------------------------------------

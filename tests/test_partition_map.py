@@ -11,6 +11,8 @@ and bad overrides must surface as :class:`PartitionError` with region
 provenance rather than a traceback.
 """
 
+import functools
+
 import pytest
 
 from repro.compiler.pipeline import CompileOptions, compile_source
@@ -19,9 +21,8 @@ from repro.compiler.postpass.partition import STRATEGIES, PartitionError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
 from repro.sweep.cache import canonical_json
-from repro.sweep.runner import BACKENDS
+from repro.sweep.runner import cluster_params
 from repro.tools.tuneplan import TunePlan, tune_per_region
-from repro.vbus import params as P
 from repro.workloads import source_for
 
 #: Triangular accumulation + rectangular stencil with opposing §5.3
@@ -32,9 +33,28 @@ FAULTS = FaultPlan(
     seed=29, specs=(FaultSpec(kind="drop", rate=0.03),), max_sim_s=10.0
 )
 
+#: Recoverable drop + corrupt wire faults.
+DROP_CORRUPT = FaultPlan(
+    seed=17,
+    specs=(
+        FaultSpec(kind="drop", rate=0.02),
+        FaultSpec(kind="corrupt", rate=0.01),
+    ),
+    max_sim_s=10.0,
+)
+
+#: (spec, backend) cells spanning the §5.3 crossover on all three
+#: interconnect families, plus MM/gige where the tuner overrides auto.
+CELLS = [
+    ("PXOVER-48", "gige"),
+    ("PXOVER-48", "ethernet100"),
+    ("PXOVER-32", "vbus"),
+    ("MM-32", "gige"),
+]
+
 
 def _run(source, options, backend="vbus", faults=None, execute=True):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = cluster_params(backend, options.nprocs)
     prog = compile_source(source, options=options)
     return run_program(
         prog, cluster_params=params, execute=execute, faults=faults
@@ -43,6 +63,24 @@ def _run(source, options, backend="vbus", faults=None, execute=True):
 
 def _digest(source, options, **kw):
     return _run(source, options, **kw).array_digest()
+
+
+@functools.lru_cache(maxsize=None)
+def _joint_plan(spec, backend):
+    return tune_per_region(
+        source_for(spec), nprocs=4, metric="comm", backend=backend,
+        cache_dir=None, tune_partition=True,
+    )
+
+
+def _variants(spec, backend):
+    """Uniform strategies, hand-mixed per-region overrides and the
+    joint tuner's plan: every variant of one cell must digest alike."""
+    return [CompileOptions(nprocs=4, partition=s) for s in STRATEGIES] + [
+        CompileOptions(nprocs=4, partition_map={0: "block"}),
+        CompileOptions(nprocs=4, partition_map={0: "block", 1: "cyclic"}),
+        _joint_plan(spec, backend).options(),
+    ]
 
 
 # ------------------------------------------------- CompileOptions
@@ -77,38 +115,26 @@ def test_partition_map_canonicalizes_and_validates():
 # ------------------------------------------------- bit-identical runs
 
 
-@pytest.mark.parametrize("backend", ["vbus", "gige"])
-def test_pxover_strategies_match_auto_oracle(backend):
-    oracle = _digest(
-        PXOVER, CompileOptions(nprocs=4, partition="auto"), backend=backend
-    )
-    for s in STRATEGIES:
-        assert (
-            _digest(
-                PXOVER,
-                CompileOptions(nprocs=4, partition=s),
-                backend=backend,
-            )
-            == oracle
-        )
-    # A hand-mixed per-region override lands on the same digest too.
-    mixed = _digest(
-        PXOVER,
-        CompileOptions(
-            nprocs=4, partition_map={0: "block", 1: "cyclic"}
-        ),
-        backend=backend,
-    )
-    assert mixed == oracle
+@pytest.mark.parametrize(
+    "spec,backend",
+    [pytest.param("PXOVER-16", b, id=b) for b in ("vbus", "gige")] + CELLS,
+)
+def test_pxover_strategies_match_auto_oracle(spec, backend):
+    src = source_for(spec)
+    oracle = _digest(src, CompileOptions(nprocs=4), backend=backend)
+    for options in _variants(spec, backend):
+        assert _digest(src, options, backend=backend) == oracle, options
 
 
 def test_partition_mix_matches_oracle_under_active_faults():
-    clean = _digest(PXOVER, CompileOptions(nprocs=4))
-    for options in (
-        CompileOptions(nprocs=4, partition="cyclic"),
-        CompileOptions(nprocs=4, partition_map={0: "block"}),
-    ):
-        assert _digest(PXOVER, options, faults=FAULTS) == clean
+    for spec, backend, faults in [("PXOVER-16", "vbus", FAULTS)] + [
+        (spec, backend, DROP_CORRUPT) for spec, backend in CELLS
+    ]:
+        src = source_for(spec)
+        clean = _digest(src, CompileOptions(nprocs=4), backend=backend)
+        for options in [CompileOptions(nprocs=4)] + _variants(spec, backend):
+            faulted = _digest(src, options, backend=backend, faults=faults)
+            assert faulted == clean, (spec, backend, options)
 
 
 def test_split_dim_partition_matches_oracle():
@@ -177,22 +203,33 @@ def _uniform_comms(source, backend):
     return out
 
 
-@pytest.mark.parametrize("spec,backend", [
-    ("PXOVER-32", "gige"),
-    ("MM-32", "gige"),
-    ("MM-32", "vbus"),
-])
+@pytest.mark.parametrize(
+    "spec,backend", [("PXOVER-32", "gige"), ("MM-32", "vbus")] + CELLS
+)
 def test_joint_plan_never_loses_to_any_uniform_variant(spec, backend):
     src = source_for(spec)
-    plan = tune_per_region(
-        src, nprocs=4, metric="comm", backend=backend, cache_dir=None,
-        tune_partition=True,
-    )
+    plan = _joint_plan(spec, backend)
     tuned = _run(
         src, plan.options(), backend=backend, execute=False
     ).comm_max_s
     best = min(_uniform_comms(src, backend).values())
     assert tuned <= best * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("backend", ["gige", "ethernet100"])
+def test_auto_strictly_beats_uniform_strategies_on_pxover(backend):
+    """§5.3's rule (cyclic for the triangular region, block for the
+    stencil) strictly beats both uniform strategies on the crossover,
+    on switched and shared Ethernet alike."""
+    src = source_for("PXOVER-48")
+    comm = {
+        s: _run(
+            src, CompileOptions(nprocs=4, partition=s), backend=backend,
+            execute=False,
+        ).comm_max_s
+        for s in ("auto",) + STRATEGIES
+    }
+    assert comm["auto"] < comm["block"] and comm["auto"] < comm["cyclic"]
 
 
 def test_joint_tuner_out_tunes_the_paper_rule_on_mm_gige():
@@ -363,7 +400,7 @@ def test_rollup_reports_net_mpi_time():
         execute=False,
     )
     prog = compile_source(PXOVER, options=CompileOptions(nprocs=4))
-    params = P.cluster_for(4, getattr(P, BACKENDS["gige"]))
+    params = cluster_params("gige", 4)
     traced = run_program(
         prog, cluster_params=params, execute=False, trace=True
     )

@@ -2,9 +2,10 @@
 
 The sanitizer is the dynamic cross-check of the static verifier:
 static-clean programs must run sanitizer-clean (the whole-corpus
-version of this contract lives in tools/check_smoke.py), every seeded
-bug must trip a matching S-code, and installing the probes must never
-change a run's results or its simulated timing.
+version of this contract is ``tests/test_check.py::
+test_healthy_workloads_are_clean``), every seeded bug must trip a
+matching S-code, and installing the probes must never change a run's
+results or its simulated timing.
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 
 from repro.compiler.pipeline import compile_source
 from repro.runtime.executor import ExecutionError, run_program
-from repro.tools.check import check_source
 from repro.workloads import source_for
 
 BADPROG_DIR = Path(__file__).parent / "badprogs"
@@ -71,19 +71,6 @@ def test_every_badprog_trips_a_matching_s_code(fname):
             f"{fname}: static {rv} expected a dynamic witness in "
             f"{STATIC_TO_DYNAMIC[rv]}, sanitizer saw {got}"
         )
-
-
-def test_static_clean_implies_sanitizer_clean_spotcheck():
-    """The contract the smoke harness asserts corpus-wide, on one
-    non-trivial variant mix here."""
-    for spec, options in [
-        ("SWIM-16", {"granularity": "coarse", "partition": "cyclic"}),
-        ("PXOVER-24", {"granularity": "middle"}),
-    ]:
-        source = source_for(spec)
-        assert check_source(source, nprocs=4, **options).clean
-        report = _sanitized(source, nprocs=4, **options)
-        assert report.sanitizer["clean"] is True, (spec, report.sanitizer)
 
 
 def test_violations_deduplicate_with_counts():

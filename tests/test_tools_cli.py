@@ -116,9 +116,9 @@ def test_cli_missing_artifacts_exit_2_without_traceback(
     mm_file, tmp_path, capsys
 ):
     """Unloadable plan/calibration/fault/grid artifacts, unparsable
-    sources, workload sizes the generators reject and paths that are
-    neither a file nor a spec are CLI errors (exit 2, message on
-    stderr), never tracebacks."""
+    sources, workload sizes the generators reject, paths that are
+    neither a file nor a spec and out-of-range subscripts are CLI errors
+    (exit 2, message on stderr), never tracebacks."""
     for argv in (
         ["run", mm_file, "--tune-plan", "/no/such/plan.json"],
         ["run", mm_file, "--faults", "/no/such/faults.json"],
@@ -148,6 +148,16 @@ def test_cli_missing_artifacts_exit_2_without_traceback(
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: ") and repr(argv[1]) in err
+    oor = tmp_path / "oor.f"
+    oor.write_text(
+        "      PROGRAM P\n      REAL*8 A(8)\n      INTEGER I\n"
+        "      DO I = 1, 9\n        A(I) = I\n      ENDDO\n      END\n"
+    )
+    for argv in (["run", str(oor)], ["run", "--sanitize", str(oor)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and "array A" in err
+        assert "size 8" in err and len(err.splitlines()) == 1
 
 
 def test_cli_sweep_cold_then_warm_is_byte_identical(tmp_path, capsys):
@@ -191,6 +201,7 @@ def test_user_input_errors_share_one_root():
     from repro.compiler.frontend.symtab import SymtabError
     from repro.compiler.postpass.partition import PartitionError
     from repro.errors import ReproError
+    from repro.runtime.interp import InterpError, SubscriptError
     from repro.sweep.grid import SweepConfigError
     from repro.workloads import WorkloadSpecError
 
@@ -199,3 +210,5 @@ def test_user_input_errors_share_one_root():
         assert issubclass(cls, ReproError) and issubclass(cls, ValueError)
     assert issubclass(ParseError, ReproError)
     assert issubclass(ParseError, SyntaxError)
+    assert issubclass(SubscriptError, ReproError)
+    assert issubclass(SubscriptError, InterpError)

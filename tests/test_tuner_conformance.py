@@ -21,9 +21,8 @@ from repro.compiler.postpass.partition import STRATEGIES, parse_strategy
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import run_program
 from repro.sweep.cache import job_key
-from repro.sweep.runner import BACKENDS
+from repro.sweep.runner import cluster_params
 from repro.tools.tuneplan import plan_cache_key, tune_per_region
-from repro.vbus import params as P
 from repro.workloads import source_for, synthetic
 
 WORKLOADS = ("XOVER-48", "MM-24", "PXOVER-24")
@@ -46,7 +45,7 @@ MATRIX = [
 
 
 def _comm(src, options, backend):
-    params = P.cluster_for(options.nprocs, getattr(P, BACKENDS[backend]))
+    params = cluster_params(backend, options.nprocs)
     prog = compile_source(src, options=options)
     return run_program(prog, cluster_params=params, execute=False).comm_max_s
 

@@ -33,26 +33,6 @@ echo "== docs snippet check (README/docs examples must run) =="
 tools/check_docs.sh -m "not slow"
 
 echo
-echo "== chaos smoke (seeded fault plans + fault-off overhead) =="
-python tools/chaos_smoke.py
-
-echo
-echo "== autotune smoke (tuned >= best global, warm plan-cache hit) =="
-python tools/autotune_smoke.py
-
-echo
-echo "== partition smoke (mixed-plan wins, digest invariance, cache) =="
-python tools/partition_smoke.py
-
-echo
-echo "== calibrate smoke (fit, warm-cache byte-identity, probe pruning) =="
-python tools/calibrate_smoke.py
-
-echo
-echo "== check smoke (verifier corpus, sanitizer contract) =="
-python tools/check_smoke.py
-
-echo
 echo "== wall-clock benchmark =="
 python benchmarks/bench_wallclock.py "$@"
 
