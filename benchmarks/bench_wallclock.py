@@ -41,6 +41,13 @@ uncalibrated suite wall-clock.  The one-time microbenchmark fit is
 timed separately (it is a content-address-cached artifact, amortized
 across every later tune).
 
+Each ratio gate times its two sides as the **median of interleaved
+repeats**, as perfbench does (perfbench/METHOD.md): every cell runs
+baseline, tuner, baseline, tuner, ... ``REPEATS`` times, from cleared
+analysis caches (and a fresh plan cache for a cold tune), so drift in
+host load hits both sides alike.  A suite's ratio is the sum of its
+cells' tuner medians over the sum of their baseline medians.
+
 Run directly (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_wallclock.py [--quick] [-o OUT]
@@ -55,6 +62,7 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import tempfile
 import time
 
@@ -119,10 +127,32 @@ def _suite_grid(quick: bool):
     }
 
 
+#: Interleaved repeats per ratio-gate cell; each side's time is the
+#: median of its repeats.
+REPEATS = 5
+
+
 def _clear_analysis_caches():
     clear_compile_cache()
     lmad_mod._enumerate_impl.cache_clear()
     lmad_mod._intersect_count.cache_clear()
+
+
+def _interleaved_medians(*sides):
+    """Median seconds of each zero-argument callable, and its last result.
+
+    The sides run in turn, ``REPEATS`` rounds, each from cleared
+    analysis caches (the clearing is not timed).
+    """
+    times = [[] for _ in sides]
+    results = [None] * len(sides)
+    for _ in range(REPEATS):
+        for i, side in enumerate(sides):
+            _clear_analysis_caches()
+            t0 = time.perf_counter()
+            results[i] = side()
+            times[i].append(time.perf_counter() - t0)
+    return [statistics.median(t) for t in times], results
 
 
 def _timed_sweep(grid, *, jobs, cache_dir):
@@ -147,28 +177,30 @@ def _autotune_suite(quick: bool):
             source = source_for(spec)
             params = cluster_params(backend, 4)
 
-            _clear_analysis_caches()
-            t0 = time.perf_counter()
-            global_comm = {}
-            for grain in GRAINS:
-                prog = compile_source(source, nprocs=4, granularity=grain)
-                global_comm[grain] = run_program(
-                    prog, cluster_params=params, execute=False
-                ).comm_max_s
-            baseline_s = time.perf_counter() - t0
+            def baseline():
+                return {
+                    grain: run_program(
+                        compile_source(source, nprocs=4, granularity=grain),
+                        cluster_params=params, execute=False,
+                    ).comm_max_s
+                    for grain in GRAINS
+                }
 
-            _clear_analysis_caches()
-            t1 = time.perf_counter()
-            plan = tune_per_region(
-                source, nprocs=4, metric="comm", backend=backend,
-                cache_dir=cache,
+            def tuned():
+                plan_dir = tempfile.mkdtemp(dir=cache)  # a cold plan cache
+                return plan_dir, tune_per_region(
+                    source, nprocs=4, metric="comm", backend=backend,
+                    cache_dir=plan_dir,
+                )
+
+            (baseline_s, tuned_s), (global_comm, (plan_dir, plan)) = (
+                _interleaved_medians(baseline, tuned)
             )
-            tuned_s = time.perf_counter() - t1
 
             t2 = time.perf_counter()
             warm = tune_per_region(
                 source, nprocs=4, metric="comm", backend=backend,
-                cache_dir=cache,
+                cache_dir=plan_dir,
             )
             warm_s = time.perf_counter() - t2
             if not warm.cached:
@@ -234,35 +266,39 @@ def _partition_suite(quick: bool):
             # Naive baseline: every grain x strategy variant, compiled
             # and profiled from fully cold caches — what a user without
             # the joint tuner would script.
-            t0 = time.perf_counter()
-            naive_comm = {}
-            for grain in GRANULARITIES:
-                for strategy in STRATEGIES:
-                    _clear_analysis_caches()
-                    prog = compile_source(
-                        source,
-                        options=CompileOptions(
-                            nprocs=4, granularity=grain, partition=strategy
-                        ),
-                    )
-                    rep = run_program(
-                        prog, cluster_params=params, execute=False
-                    )
-                    naive_comm[f"{grain}/{strategy}"] = rep.comm_max_s
-            baseline_s = time.perf_counter() - t0
+            def naive():
+                comm = {}
+                for grain in GRANULARITIES:
+                    for strategy in STRATEGIES:
+                        _clear_analysis_caches()
+                        prog = compile_source(
+                            source,
+                            options=CompileOptions(
+                                nprocs=4, granularity=grain,
+                                partition=strategy,
+                            ),
+                        )
+                        rep = run_program(
+                            prog, cluster_params=params, execute=False
+                        )
+                        comm[f"{grain}/{strategy}"] = rep.comm_max_s
+                return comm
 
-            _clear_analysis_caches()
-            t1 = time.perf_counter()
-            plan = tune_per_region(
-                source, nprocs=4, metric="comm", backend=backend,
-                cache_dir=cache, tune_partition=True,
+            def joint():
+                plan_dir = tempfile.mkdtemp(dir=cache)  # a cold plan cache
+                return plan_dir, tune_per_region(
+                    source, nprocs=4, metric="comm", backend=backend,
+                    cache_dir=plan_dir, tune_partition=True,
+                )
+
+            (baseline_s, tuned_s), (naive_comm, (plan_dir, plan)) = (
+                _interleaved_medians(naive, joint)
             )
-            tuned_s = time.perf_counter() - t1
 
             t2 = time.perf_counter()
             warm = tune_per_region(
                 source, nprocs=4, metric="comm", backend=backend,
-                cache_dir=cache, tune_partition=True,
+                cache_dir=plan_dir, tune_partition=True,
             )
             warm_s = time.perf_counter() - t2
             if not warm.cached:
@@ -336,21 +372,16 @@ def _calibration_suite(quick: bool):
             params = cluster_params(backend, 4)
             model = models[backend]
 
-            _clear_analysis_caches()
-            t0 = time.perf_counter()
-            uncal = tune_per_region(
-                source, nprocs=4, metric="comm", backend=backend,
-                cache_dir=None, tune_partition=True,
+            (uncal_s, cal_s), (uncal, cal) = _interleaved_medians(
+                lambda: tune_per_region(
+                    source, nprocs=4, metric="comm", backend=backend,
+                    cache_dir=None, tune_partition=True,
+                ),
+                lambda: tune_per_region(
+                    source, nprocs=4, metric="comm", backend=backend,
+                    cache_dir=None, tune_partition=True, calibration=model,
+                ),
             )
-            uncal_s = time.perf_counter() - t0
-
-            _clear_analysis_caches()
-            t1 = time.perf_counter()
-            cal = tune_per_region(
-                source, nprocs=4, metric="comm", backend=backend,
-                cache_dir=None, tune_partition=True, calibration=model,
-            )
-            cal_s = time.perf_counter() - t1
 
             # Calibration may only change how *fast* the search decides,
             # never what it decides on these cells.
@@ -486,6 +517,8 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "bench_wallclock",
+        "ratio_method": (f"per side, the median of {REPEATS} interleaved "
+                         "repeats per cell, summed over the suite"),
         "metric": "host wall-clock seconds to compile + simulate the suite",
         "sweep": ("repro.sweep grid on a ProcessPoolExecutor with a "
                   "content-addressed result cache (docs/SWEEP.md)"),

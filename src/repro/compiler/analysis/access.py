@@ -17,18 +17,19 @@ from repro.compiler.analysis.lmad import LMAD
 from repro.compiler.frontend import fast as F
 from repro.compiler.frontend.lower import expr_as_int
 from repro.compiler.frontend.symtab import Symbol, SymbolTable
+from repro.errors import ReproError
 
 __all__ = [
+    "AccessCache",
     "AccessError",
     "LoopCtx",
     "loop_context",
     "ref_lmad",
-    "ref_offset_affine",
     "whole_array",
 ]
 
 
-class AccessError(ValueError):
+class AccessError(ValueError, ReproError):
     """Reference cannot be summarized even conservatively."""
 
 
@@ -121,16 +122,7 @@ def whole_array(sym: Symbol) -> LMAD:
     return LMAD.from_counts(sym.name, 0, [(1, sym.size)], exact=False)
 
 
-def ref_offset_affine(
-    ref: F.ArrayRef,
-    symtab: SymbolTable,
-    env: Optional[Mapping[str, int]] = None,
-) -> Optional[Affine]:
-    """The raw linearized offset of a reference as an affine expression.
-
-    Loop indices stay symbolic; returns None when any subscript is
-    non-affine.  This is the form the Access Region Test consumes.
-    """
+def _array_symbol(ref: F.ArrayRef, symtab: SymbolTable) -> Symbol:
     sym = symtab.lookup(ref.name)
     if sym is None or not sym.is_array:
         raise AccessError(f"{ref.name} is not a declared array")
@@ -138,7 +130,13 @@ def ref_offset_affine(
         raise AccessError(
             f"{ref.name}: {len(ref.subs)} subscripts for rank {sym.rank}"
         )
-    env = env or {}
+    return sym
+
+
+def _linearize(
+    ref: F.ArrayRef, sym: Symbol, env: Mapping[str, int]
+) -> Optional[Affine]:
+    """offset = Σ (sub_k - lower_k) * mult_k, or None when non-affine."""
     offset = Affine.constant(0)
     for sub, (lower, _), mult in zip(ref.subs, sym.dims, sym.multipliers()):
         aff = affine_from_expr(sub, env)
@@ -148,44 +146,34 @@ def ref_offset_affine(
     return offset
 
 
-def ref_lmad(
-    ref: F.ArrayRef,
-    symtab: SymbolTable,
-    loops: Sequence[LoopCtx],
-    env: Optional[Mapping[str, int]] = None,
+def _bind(aff: Affine, env: Mapping[str, int]) -> Affine:
+    """``aff`` with every name ``env`` binds replaced by its value."""
+    if not any(v in env for v in aff.terms):
+        return aff
+    const = aff.const
+    terms = {}
+    for v, c in aff.terms.items():
+        if v in env:
+            const += c * int(env[v])
+        else:
+            terms[v] = c
+    return Affine(const, terms)
+
+
+def _offset_lmad(
+    sym: Symbol, offset: Optional[Affine], loops: Sequence[LoopCtx]
 ) -> LMAD:
-    """The LMAD of one reference under the given enclosing loops.
-
-    ``env`` supplies integer values for non-loop scalars appearing in
-    subscripts; unresolvable subscripts yield the whole-array descriptor.
-    """
-    sym = symtab.lookup(ref.name)
-    if sym is None or not sym.is_array:
-        raise AccessError(f"{ref.name} is not a declared array")
-    if len(ref.subs) != sym.rank:
-        raise AccessError(
-            f"{ref.name}: {len(ref.subs)} subscripts for rank {sym.rank}"
-        )
-    env = env or {}
-
-    # Linearize: offset = Σ (sub_k - lower_k) * mult_k.
-    offset = Affine.constant(0)
-    mults = sym.multipliers()
-    for sub, (lower, _), mult in zip(ref.subs, sym.dims, mults):
-        aff = affine_from_expr(sub, env)
-        if aff is None:
-            return whole_array(sym)
-        offset = offset + (aff - Affine.constant(lower)).scale(mult)
-
+    """The LMAD a linearized offset sweeps under ``loops``."""
+    if offset is None:
+        return whole_array(sym)
     loop_by_var = {c.var: c for c in loops}
     # Any symbolic term that is not a loop index means we cannot pin the
     # access down; fall back to the whole array.
-    for v in offset.vars():
+    for v in offset.terms:
         if v not in loop_by_var:
             return whole_array(sym)
 
-    base_env = {c.var: c.first for c in loops}
-    base = offset.evaluate(base_env)
+    base = offset.evaluate({c.var: c.first for c in loops})
     dims: List[Tuple[int, int]] = []
     indices: List[str] = []
     exact = True
@@ -202,3 +190,67 @@ def ref_lmad(
         # the whole array conservatively.
         return whole_array(sym)
     return lmad
+
+
+def ref_lmad(
+    ref: F.ArrayRef,
+    symtab: SymbolTable,
+    loops: Sequence[LoopCtx],
+    env: Optional[Mapping[str, int]] = None,
+) -> LMAD:
+    """The LMAD of one reference under the given enclosing loops.
+
+    ``env`` supplies integer values for non-loop scalars appearing in
+    subscripts; unresolvable subscripts yield the whole-array descriptor.
+    """
+    sym = _array_symbol(ref, symtab)
+    return _offset_lmad(sym, _linearize(ref, sym, env or {}), loops)
+
+
+class AccessCache:
+    """Each reference's linearized offset, built once per compile.
+
+    The paper's postpass splits an access into a rank-invariant
+    ``A_mapping`` and rank-dependent ``A_offsets``.  This is the mapping
+    half: the column-major offset of every :class:`~F.ArrayRef`,
+    linearized with no scalar bound.  A call with ``env`` substitutes
+    the bound values into the cached form.  When the unbound form is
+    non-affine, the call linearizes again under ``env`` instead, since a
+    ``/``, ``*`` or ``**`` can become affine once a value is bound; so
+    :meth:`lmad` always equals :func:`ref_lmad` exactly.
+
+    The memo is keyed by object identity and keeps each reference alive,
+    so one cache must only see the AST of one compile, left unmutated.
+    """
+
+    def __init__(self, symtab: SymbolTable):
+        self.symtab = symtab
+        #: id(ref) -> (ref, its array symbol, its env-free offset or None).
+        self._offsets: Dict[
+            int, Tuple[F.ArrayRef, Symbol, Optional[Affine]]
+        ] = {}
+        #: id(statement list) -> (the list, its flat access template),
+        #: filled by ``summary.summarize_statements``.
+        self.templates: Dict[int, Tuple[object, Tuple]] = {}
+
+    def offset(
+        self, ref: F.ArrayRef, env: Mapping[str, int]
+    ) -> Tuple[Symbol, Optional[Affine]]:
+        """(array symbol, linearized offset under ``env`` or None)."""
+        hit = self._offsets.get(id(ref))
+        if hit is None:
+            sym = _array_symbol(ref, self.symtab)
+            hit = self._offsets[id(ref)] = (ref, sym, _linearize(ref, sym, {}))
+        _, sym, aff = hit
+        if not env:
+            return sym, aff
+        if aff is None:
+            return sym, _linearize(ref, sym, env)
+        return sym, _bind(aff, env)
+
+    def lmad(
+        self, ref: F.ArrayRef, loops: Sequence[LoopCtx], env: Mapping[str, int]
+    ) -> LMAD:
+        """:func:`ref_lmad` of ``ref``, from the cached linearization."""
+        sym, offset = self.offset(ref, env)
+        return _offset_lmad(sym, offset, loops)

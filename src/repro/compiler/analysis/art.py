@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.compiler.analysis.access import (
+    AccessCache,
     AccessError,
     LoopCtx,
     loop_context,
-    ref_offset_affine,
 )
 from repro.compiler.analysis.intaffine import Affine
 from repro.compiler.frontend import fast as F
@@ -73,18 +73,22 @@ def collect_accesses(
     symtab: SymbolTable,
     env: Optional[Dict[str, int]] = None,
     pctx: Optional[LoopCtx] = None,
+    cache: Optional[AccessCache] = None,
 ) -> List[ArrayAccess]:
     """All array accesses in the loop body, with their inner-loop context.
 
     ``pctx`` (the candidate loop's own bounds) lets triangular inner loops
-    widen conservatively instead of degrading to non-affine.
+    widen conservatively instead of degrading to non-affine.  Each
+    access's offset is its linearization from ``cache`` (loop indices
+    symbolic; None when a subscript is non-affine).
     """
     env = env or {}
+    cache = cache if cache is not None else AccessCache(symtab)
     out: List[ArrayAccess] = []
 
     def ref_access(ref: F.ArrayRef, kind: str, inner, conditional) -> None:
         try:
-            aff = ref_offset_affine(ref, symtab, env)
+            _, aff = cache.offset(ref, env)
         except AccessError:
             aff = None
         out.append(
@@ -384,6 +388,7 @@ def test_loop_parallel(
     symtab: SymbolTable,
     outer: Sequence[LoopCtx] = (),
     env: Optional[Dict[str, int]] = None,
+    cache: Optional[AccessCache] = None,
 ) -> DependenceReport:
     """Array-dependence verdict for parallelizing ``loop``."""
     env = dict(env or {})
@@ -391,7 +396,7 @@ def test_loop_parallel(
         pctx = loop_context(loop, outer, env)
     except AccessError as exc:
         return DependenceReport(False, [str(exc)])
-    accesses = collect_accesses(loop, symtab, env, pctx=pctx)
+    accesses = collect_accesses(loop, symtab, env, pctx=pctx, cache=cache)
 
     by_array: Dict[str, List[ArrayAccess]] = {}
     for acc in accesses:

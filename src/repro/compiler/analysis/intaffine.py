@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.compiler.frontend import fast as F
+from repro.errors import ReproError
 
 __all__ = ["Affine", "AffineError", "affine_from_expr"]
 
 
-class AffineError(ValueError):
+class AffineError(ValueError, ReproError):
     """Operation would leave the affine domain."""
 
 

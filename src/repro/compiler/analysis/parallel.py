@@ -19,6 +19,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
+from repro.compiler.analysis.access import (
+    AccessCache,
+    AccessError,
+    loop_context,
+)
 from repro.compiler.analysis.art import test_loop_parallel
 from repro.compiler.analysis.privatize import find_private_scalars
 from repro.compiler.analysis.reduction import find_reductions
@@ -72,11 +77,18 @@ def _scalar_reads(stmts: Sequence[F.Stmt]) -> Set[str]:
 
 
 def detect_parallelism(
-    unit: F.Unit, env: Optional[Dict[str, int]] = None
+    unit: F.Unit,
+    env: Optional[Dict[str, int]] = None,
+    cache: Optional[AccessCache] = None,
 ) -> ParallelizationLog:
-    """Annotate the unit's loops; returns the decision log."""
+    """Annotate the unit's loops; returns the decision log.
+
+    ``cache`` is the compile's :class:`AccessCache`, shared with the
+    postpass that plans the annotated loops.
+    """
     log = ParallelizationLog()
-    _walk(unit.body, unit, env or {}, log, live_after=set())
+    cache = cache if cache is not None else AccessCache(unit.symtab)
+    _walk(unit.body, unit, env or {}, log, live_after=set(), cache=cache)
     return log
 
 
@@ -86,31 +98,35 @@ def _walk(
     env,
     log,
     live_after: Set[str],
+    cache: AccessCache,
 ) -> None:
     for idx, stmt in enumerate(stmts):
         if isinstance(stmt, F.Do):
             later = _scalar_reads(stmts[idx + 1 :]) | live_after
-            if not _try_loop(stmt, unit, env, log, later):
+            if not _try_loop(stmt, unit, env, log, later, cache):
                 # Serial loop: its body re-executes, so everything read
                 # anywhere in the body is also live across inner loops.
                 inner_live = later | _scalar_reads(stmt.body)
-                _walk(stmt.body, unit, env, log, inner_live)
+                _walk(stmt.body, unit, env, log, inner_live, cache)
         elif isinstance(stmt, F.If):
             later = _scalar_reads(stmts[idx + 1 :]) | live_after
-            _walk(stmt.then, unit, env, log, later)
+            _walk(stmt.then, unit, env, log, later, cache)
             for _c, blk in stmt.elifs:
-                _walk(blk, unit, env, log, later)
-            _walk(stmt.orelse, unit, env, log, later)
+                _walk(blk, unit, env, log, later, cache)
+            _walk(stmt.orelse, unit, env, log, later, cache)
 
 
 def _try_loop(
-    loop: F.Do, unit: F.Unit, env, log, live_after: Set[str]
+    loop: F.Do, unit: F.Unit, env, log, live_after: Set[str],
+    cache: AccessCache,
 ) -> bool:
     """Attempt to mark ``loop`` parallel; True when marked."""
     if loop.parallel:
         # User directive: annotate reductions/privates, trust the directive.
         loop.reductions = find_reductions(loop)
-        body_sum = summarize_statements(loop.body, unit.symtab, (), env)
+        body_sum = summarize_statements(
+            loop.body, unit.symtab, (), env, cache=cache
+        )
         loop.private = find_private_scalars(
             loop, body_sum, exclude=[r for r, _ in loop.reductions]
         )
@@ -119,8 +135,6 @@ def _try_loop(
 
     # Profitability: a loop with fewer than two iterations gains nothing
     # from SPMDization and would mask parallelism in its body.
-    from repro.compiler.analysis.access import AccessError, loop_context
-
     try:
         trip = loop_context(loop, (), env).count
     except AccessError:
@@ -134,7 +148,9 @@ def _try_loop(
 
     reductions = find_reductions(loop)
     red_names = [r for r, _ in reductions]
-    body_sum = summarize_statements(loop.body, unit.symtab, (), env)
+    body_sum = summarize_statements(
+        loop.body, unit.symtab, (), env, cache=cache
+    )
     private = [
         name
         for name in find_private_scalars(loop, body_sum, exclude=red_names)
@@ -148,7 +164,7 @@ def _try_loop(
             break
 
     if blocked is None:
-        report = test_loop_parallel(loop, unit.symtab, (), env)
+        report = test_loop_parallel(loop, unit.symtab, (), env, cache=cache)
         if not report.independent:
             blocked = "; ".join(report.conflicts) or "dependence"
 

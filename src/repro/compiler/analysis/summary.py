@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.compiler.analysis.access import (
+    AccessCache,
     AccessError,
     LoopCtx,
     loop_context,
-    ref_lmad,
     whole_array,
 )
 from repro.compiler.analysis.lmad import LMAD
@@ -100,14 +100,86 @@ class SummarySet:
         return [a for a in self.arrays.values() if a.classification == cls]
 
 
+# Opcodes of an access template: a statement list flattened, once per
+# compile, into the reads and writes a summary replays in order.
+_READ, _SCALAR_READ, _WRITE, _SCALAR_WRITE, _LOOP, _CALL = range(6)
+
+
+def _template(stmts: Sequence[F.Stmt], symtab: SymbolTable) -> Tuple:
+    """``stmts`` as a flat tuple of access ops, in execution order.
+
+    Ops are ``(_READ, ref)``, ``(_SCALAR_READ, name)``, ``(_WRITE, ref,
+    conditional)``, ``(_SCALAR_WRITE, name, conditional)``, ``(_LOOP,
+    do, body_ops)`` and ``(_CALL,)``.  Writes under IF guards are
+    conditional.  Scalar reads of PARAMETER and array names are dropped
+    here, since the symbol table cannot change within a compile.
+    """
+    ops: List[Tuple] = []
+
+    def scalar(name: str) -> None:
+        sym = symtab.lookup(name)
+        if sym is None or not (sym.is_param or sym.is_array):
+            ops.append((_SCALAR_READ, name))
+
+    def ref(node: F.ArrayRef) -> None:
+        ops.append((_READ, node))
+        # Subscript sub-expressions contain scalar reads.
+        for sub in node.subs:
+            for inner in F.walk_exprs(sub):
+                if isinstance(inner, F.Var):
+                    scalar(inner.name)
+                elif isinstance(inner, F.ArrayRef):
+                    ref(inner)
+
+    def expr(e: F.Expr) -> None:
+        for node in F.walk_exprs(e):
+            if isinstance(node, F.ArrayRef):
+                ref(node)
+            elif isinstance(node, F.Var):
+                scalar(node.name)
+
+    def walk(body: Sequence[F.Stmt], conditional: bool) -> None:
+        for stmt in body:
+            if isinstance(stmt, F.Assign):
+                expr(stmt.rhs)
+                if isinstance(stmt.lhs, F.ArrayRef):
+                    for sub in stmt.lhs.subs:
+                        expr(sub)
+                    ops.append((_WRITE, stmt.lhs, conditional))
+                else:
+                    ops.append((_SCALAR_WRITE, stmt.lhs.name, conditional))
+            elif isinstance(stmt, F.Do):
+                outer = len(ops)
+                walk(stmt.body, conditional)
+                ops[outer:] = [(_LOOP, stmt, tuple(ops[outer:]))]
+            elif isinstance(stmt, F.If):
+                expr(stmt.cond)
+                walk(stmt.then, True)
+                for c, blk in stmt.elifs:
+                    expr(c)
+                    walk(blk, True)
+                walk(stmt.orelse, True)
+            elif isinstance(stmt, F.PrintStmt):
+                for item in stmt.items:
+                    if not isinstance(item, F.Str):
+                        expr(item)
+            elif isinstance(stmt, F.Call):  # pragma: no cover - inlined
+                ops.append((_CALL,))
+
+    walk(stmts, False)
+    return tuple(ops)
+
+
 class _Collector:
     def __init__(
         self,
         symtab: SymbolTable,
         loops: Sequence[LoopCtx],
         env: Mapping[str, int],
+        cache: AccessCache,
     ):
         self.symtab = symtab
+        self.cache = cache
         self.loops = list(loops)
         self.env = dict(env)
         self.summary = SummarySet()
@@ -115,98 +187,74 @@ class _Collector:
         self._written: Dict[str, List[LMAD]] = {}
         self._scalar_written: Set[str] = set()
 
-    # -- expression reads ----------------------------------------------------
-    def read_expr(self, expr: F.Expr, conditional: bool) -> None:
-        for node in F.walk_exprs(expr):
-            if isinstance(node, F.ArrayRef):
-                self._read_array(node, conditional)
-            elif isinstance(node, F.Var):
-                self._read_scalar(node.name)
-
     def _lmad(self, ref: F.ArrayRef) -> LMAD:
         try:
-            return ref_lmad(ref, self.symtab, self.loops, self.env)
+            return self.cache.lmad(ref, self.loops, self.env)
         except AccessError:
             sym = self.symtab.lookup(ref.name)
             if sym is None or not sym.is_array:
                 raise
             return whole_array(sym)
 
-    def _read_array(self, ref: F.ArrayRef, conditional: bool) -> None:
-        region = self._lmad(ref)
-        a = self.summary.array(ref.name)
-        a.reads.append(region)
-        covered = any(w.contains(region) for w in self._written.get(ref.name, []))
-        if not covered:
-            a.exposed_read = True
-        # Subscript sub-expressions contain scalar reads.
-        for sub in ref.subs:
-            for node in F.walk_exprs(sub):
-                if isinstance(node, F.Var):
-                    self._read_scalar(node.name)
-                elif isinstance(node, F.ArrayRef):
-                    self._read_array(node, conditional)
+    def walk(self, stmts: Sequence[F.Stmt]) -> None:
+        key = id(stmts)
+        hit = self.cache.templates.get(key)
+        if hit is None:
+            hit = self.cache.templates[key] = (
+                stmts, _template(stmts, self.symtab)
+            )
+        self._replay(hit[1])
 
-    def _read_scalar(self, name: str) -> None:
-        sym = self.symtab.lookup(name)
-        if sym is not None and (sym.is_param or sym.is_array):
-            return
-        if any(c.var == name for c in self.loops):
-            return  # loop indices are implicitly private
-        s = self.summary.scalar(name)
-        s.read = True
-        if name not in self._scalar_written:
-            s.exposed_read = True
-
-    # -- statement walk -----------------------------------------------------
-    def walk(self, stmts: Sequence[F.Stmt], conditional: bool = False) -> None:
-        for stmt in stmts:
-            self._stmt(stmt, conditional)
-
-    def _stmt(self, stmt: F.Stmt, conditional: bool) -> None:
-        if isinstance(stmt, F.Assign):
-            self.read_expr(stmt.rhs, conditional)
-            if isinstance(stmt.lhs, F.ArrayRef):
-                for sub in stmt.lhs.subs:
-                    self.read_expr(sub, conditional)
-                region = self._lmad(stmt.lhs)
-                a = self.summary.array(stmt.lhs.name)
+    def _replay(self, ops: Tuple) -> None:
+        summary = self.summary
+        for op in ops:
+            kind = op[0]
+            if kind == _READ:
+                ref = op[1]
+                region = self._lmad(ref)
+                a = summary.array(ref.name)
+                a.reads.append(region)
+                if not a.exposed_read and not any(
+                    w.contains(region) for w in self._written.get(ref.name, ())
+                ):
+                    a.exposed_read = True
+            elif kind == _SCALAR_READ:
+                name = op[1]
+                if any(c.var == name for c in self.loops):
+                    continue  # loop indices are implicitly private
+                s = summary.scalar(name)
+                s.read = True
+                if name not in self._scalar_written:
+                    s.exposed_read = True
+            elif kind == _WRITE:
+                ref = op[1]
+                region = self._lmad(ref)
+                a = summary.array(ref.name)
                 a.writes.append(region)
-                if conditional:
+                if op[2]:
                     a.conditional_write = True
                 else:
-                    self._written.setdefault(stmt.lhs.name, []).append(region)
-            else:
-                name = stmt.lhs.name
-                s = self.summary.scalar(name)
+                    self._written.setdefault(ref.name, []).append(region)
+            elif kind == _SCALAR_WRITE:
+                s = summary.scalar(op[1])
                 s.written = True
-                if not conditional:
-                    self._scalar_written.add(name)
-        elif isinstance(stmt, F.Do):
-            saved = self.loops
-            try:
-                inner = loop_context(stmt, self.loops, self.env)
-                self.loops = self.loops + [inner]
-            except AccessError:
-                # Bounds depend on symbols outside this context (e.g. the
-                # index of a loop we are summarizing the body of); keep the
-                # context as-is — array refs degrade to whole-array.
-                pass
-            self.walk(stmt.body, conditional)
-            self.loops = saved
-        elif isinstance(stmt, F.If):
-            self.read_expr(stmt.cond, conditional)
-            self.walk(stmt.then, True)
-            for c, blk in stmt.elifs:
-                self.read_expr(c, conditional)
-                self.walk(blk, True)
-            self.walk(stmt.orelse, True)
-        elif isinstance(stmt, F.PrintStmt):
-            for item in stmt.items:
-                if not isinstance(item, F.Str):
-                    self.read_expr(item, conditional)
-        elif isinstance(stmt, F.Call):  # pragma: no cover - inlined earlier
-            raise AccessError("CALL must be inlined before summarization")
+                if not op[2]:
+                    self._scalar_written.add(op[1])
+            elif kind == _LOOP:
+                saved = self.loops
+                try:
+                    inner = loop_context(op[1], self.loops, self.env)
+                    self.loops = self.loops + [inner]
+                except AccessError:
+                    # Bounds depend on symbols outside this context (e.g.
+                    # the index of a loop we are summarizing the body of);
+                    # keep the context as-is — array refs degrade to
+                    # whole-array.
+                    pass
+                self._replay(op[2])
+                self.loops = saved
+            else:
+                raise AccessError("CALL must be inlined before summarization")
 
 
 def summarize_statements(
@@ -214,9 +262,14 @@ def summarize_statements(
     symtab: SymbolTable,
     loops: Sequence[LoopCtx] = (),
     env: Optional[Mapping[str, int]] = None,
+    cache: Optional[AccessCache] = None,
 ) -> SummarySet:
-    """Summary set of a statement sequence under the given loop context."""
-    col = _Collector(symtab, loops, env or {})
+    """Summary set of a statement sequence under the given loop context.
+
+    ``cache`` shares linearized references and access templates across
+    the calls of one compile; without it the call makes a throwaway one.
+    """
+    col = _Collector(symtab, loops, env or {}, cache or AccessCache(symtab))
     col.walk(stmts)
     return col.summary
 
@@ -229,6 +282,5 @@ def summarize_loop(
 ) -> Tuple[SummarySet, LoopCtx]:
     """Summary set of a whole loop (its body expanded by its own index)."""
     ctx = loop_context(loop, outer, env or {})
-    col = _Collector(symtab, list(outer) + [ctx], env or {})
-    col.walk(loop.body)
-    return col.summary, ctx
+    summary = summarize_statements(loop.body, symtab, list(outer) + [ctx], env)
+    return summary, ctx

@@ -9,7 +9,11 @@ scatter/collect + granularity together, then code emission).
 
 from __future__ import annotations
 
-from repro.compiler.analysis.access import AccessError, loop_context
+from repro.compiler.analysis.access import (
+    AccessCache,
+    AccessError,
+    loop_context,
+)
 from repro.compiler.analysis.parallel import detect_parallelism
 from repro.compiler.frontend import fast as F
 from repro.compiler.postpass.codegen import emit_fortran
@@ -50,8 +54,11 @@ def _demote_unplannable_loops(unit: F.Unit, log_notes) -> None:
 def run_postpass(unit: F.Unit, options) -> SpmdProgram:
     """Run parallelism detection plus the full MPI-2 postpass."""
     notes = []
+    # One compile's linearized references and access templates, shared
+    # by detection and every planning attempt.
+    access = AccessCache(unit.symtab)
     if options.parallelize:
-        log = detect_parallelism(unit)
+        log = detect_parallelism(unit, cache=access)
         notes.extend(log.entries)
     _demote_unplannable_loops(unit, notes)
 
@@ -67,6 +74,7 @@ def run_postpass(unit: F.Unit, options) -> SpmdProgram:
             regions=regions,
             env=env,
             options=options,
+            access=access,
         )
         try:
             plans = planner.plan()

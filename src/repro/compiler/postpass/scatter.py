@@ -37,7 +37,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.analysis.access import AccessError, LoopCtx, loop_context
+from repro.compiler.analysis.access import (
+    AccessCache,
+    AccessError,
+    LoopCtx,
+    loop_context,
+)
 from repro.compiler.analysis.lmad import LMAD
 from repro.compiler.analysis.summary import (
     READ_ONLY,
@@ -232,6 +237,7 @@ class CommPlanner:
         regions: List[Region],
         env: MpiEnvironment,
         options,
+        access: Optional[AccessCache] = None,
     ):
         #: The validated :class:`~repro.compiler.pipeline.CompileOptions`;
         #: per-region grain and §5.3 strategy resolve through its
@@ -251,6 +257,16 @@ class CommPlanner:
         for name in env.window_arrays:
             self._valid[name][0, :] = True  # master memory is the reference
         self.plans: Dict[int, RegionCommPlan] = {}
+        #: Linearized references, shared with the caller's other planners
+        #: of the same compile (demotion retries, the checker's passes).
+        self.access = access if access is not None else AccessCache(symtab)
+        #: (loop id, partition) -> (loop, per-rank regions): the
+        #: meet-over-back-edge passes revisit each region with the same
+        #: partition, and its per-rank accesses depend on nothing else.
+        self._rank_memo: Dict[
+            Tuple[int, Partition],
+            Tuple[F.Do, Dict[str, Dict[int, _RankRegions]]],
+        ] = {}
 
     # -- public ------------------------------------------------------------
     def plan(self) -> Dict[int, RegionCommPlan]:
@@ -307,7 +323,9 @@ class CommPlanner:
 
     # -- sequential blocks --------------------------------------------------
     def _seq_block(self, block: SeqBlock) -> None:
-        summary = summarize_statements(block.stmts, self.symtab, (), {})
+        summary = summarize_statements(
+            block.stmts, self.symtab, (), {}, cache=self.access
+        )
         for name, arr in summary.arrays.items():
             if name not in self._valid:
                 continue  # master-private array
@@ -381,7 +399,9 @@ class CommPlanner:
         region.comm_plan = plan
 
         # Region-level classification.
-        region_summary = summarize_statements(loop.body, self.symtab, [pctx], {})
+        region_summary = summarize_statements(
+            loop.body, self.symtab, [pctx], {}, cache=self.access
+        )
         plan.scalars_in = sorted(
             s.name
             for s in region_summary.scalars.values()
@@ -456,6 +476,25 @@ class CommPlanner:
         partition: Partition,
         region_summary: SummarySet,
     ) -> Dict[str, Dict[int, _RankRegions]]:
+        """Per-rank access info, computed once per (loop, partition).
+
+        Callers share the result and must not mutate it.
+        """
+        key = (id(loop), partition)
+        hit = self._rank_memo.get(key)
+        if hit is None:
+            hit = self._rank_memo[key] = (
+                loop,
+                self._rank_regions_impl(loop, partition, region_summary),
+            )
+        return hit[1]
+
+    def _rank_regions_impl(
+        self,
+        loop: F.Do,
+        partition: Partition,
+        region_summary: SummarySet,
+    ) -> Dict[str, Dict[int, _RankRegions]]:
         out: Dict[str, Dict[int, _RankRegions]] = {
             name: {} for name in region_summary.arrays
         }
@@ -465,7 +504,7 @@ class CommPlanner:
             if rctx is None:
                 continue
             summary = summarize_statements(
-                stmts, self.symtab, base + [rctx], {}
+                stmts, self.symtab, base + [rctx], {}, cache=self.access
             )
             needs_exact = any(
                 any(not l.exact for l in arr.writes)
@@ -518,7 +557,8 @@ class CommPlanner:
         masks: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for v in rctx.values():
             summary = summarize_statements(
-                stmts, self.symtab, tuple(base), {rctx.var: v}
+                stmts, self.symtab, tuple(base), {rctx.var: v},
+                cache=self.access,
             )
             for name, arr in summary.arrays.items():
                 size = self.env.sizes[name]

@@ -388,9 +388,10 @@ class _VerifyingPlanner(CommPlanner):
         for t, v in enumerate(dctx.values()):
             try:
                 summary = summarize_statements(
-                    stmts, self.symtab, tuple(base), {dctx.var: v}
+                    stmts, self.symtab, tuple(base), {dctx.var: v},
+                    cache=self.access,
                 )
-            except Exception:
+            except ValueError:
                 notes.append(
                     f"region {rid}: accesses not summarizable at "
                     f"{dctx.var}={v}; RV401 analysis skipped"

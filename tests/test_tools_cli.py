@@ -195,6 +195,8 @@ def test_cli_malformed_artifact_exits_2(mm_file, tmp_path, capsys):
 
 
 def test_user_input_errors_share_one_root():
+    from repro.compiler.analysis.access import AccessError
+    from repro.compiler.analysis.intaffine import AffineError
     from repro.compiler.frontend.lexer import LexError
     from repro.compiler.frontend.lower import LowerError
     from repro.compiler.frontend.parser import ParseError
@@ -205,8 +207,9 @@ def test_user_input_errors_share_one_root():
     from repro.sweep.grid import SweepConfigError
     from repro.workloads import WorkloadSpecError
 
-    for cls in (LowerError, LexError, PartitionError, SweepConfigError,
-                SymtabError, WorkloadSpecError):
+    for cls in (AccessError, AffineError, LowerError, LexError,
+                PartitionError, SweepConfigError, SymtabError,
+                WorkloadSpecError):
         assert issubclass(cls, ReproError) and issubclass(cls, ValueError)
     assert issubclass(ParseError, ReproError)
     assert issubclass(ParseError, SyntaxError)
