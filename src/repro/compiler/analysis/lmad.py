@@ -28,21 +28,6 @@ __all__ = ["Dim", "LMAD"]
 #: interval/GCD reasoning.
 _EXACT_LIMIT = 1 << 21
 
-#: When True, point-set operations run the original unmemoized
-#: ``np.unique`` algorithm.  Only benchmarks use this — it reproduces the
-#: pre-optimization baseline so speedups are measured against the real
-#: thing — and tests, to assert both implementations agree.
-_LEGACY_ENUMERATION = False
-
-
-def set_legacy_enumeration(flag: bool) -> None:
-    """Toggle the unmemoized reference enumeration (benchmarks/tests)."""
-    global _LEGACY_ENUMERATION
-    if flag != _LEGACY_ENUMERATION:
-        _LEGACY_ENUMERATION = bool(flag)
-        _enumerate_impl.cache_clear()
-        _intersect_count.cache_clear()
-
 
 @lru_cache(maxsize=8192)
 def _enumerate_impl(lmad: "LMAD") -> np.ndarray:
@@ -207,11 +192,6 @@ class LMAD:
             raise ValueError(
                 f"LMAD too large to enumerate ({self.nominal_count} points)"
             )
-        if _LEGACY_ENUMERATION:
-            pts = np.array([self.base], dtype=np.int64)
-            for d in self.dims:
-                pts = (pts[:, None] + d.offsets()[None, :]).ravel()
-            return np.unique(pts)
         return _enumerate_impl(self)
 
     def count_distinct(self) -> int:
@@ -248,10 +228,6 @@ class LMAD:
         if g > 1 and (self.base - other.base) % g != 0:
             return False
         if self._small(other):
-            if _LEGACY_ENUMERATION:
-                mine = self.enumerate()
-                theirs = other.enumerate()
-                return bool(len(np.intersect1d(mine, theirs, assume_unique=True)))
             return _intersect_count(self, other) > 0
         return True  # conservative
 
@@ -263,11 +239,6 @@ class LMAD:
         if other.min_offset < self.min_offset or other.max_offset > self.max_offset:
             return False
         if self._small(other):
-            if _LEGACY_ENUMERATION:
-                mine = self.enumerate()
-                theirs = other.enumerate()
-                inter = np.intersect1d(mine, theirs, assume_unique=True)
-                return len(inter) == len(theirs)
             return _intersect_count(self, other) == other.count_distinct()
         return False  # conservative
 

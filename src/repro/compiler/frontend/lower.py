@@ -84,6 +84,8 @@ def fold_expr(expr: F.Expr) -> F.Expr:
             if e.op == "*":
                 return F.Num(a * b, is_int)
             if e.op == "/":
+                if b == 0:
+                    raise LowerError(f"division by zero in constant {e}")
                 if is_int:
                     q = abs(a) // abs(b)
                     if (a < 0) != (b < 0):

@@ -15,22 +15,25 @@ Pragmas (one per line, anywhere in the source)::
     C$BUG KEEP-GRAIN <ARRAY>            undo the §5.6 collect demotion
 
 Each pragma applies to the first parallel region where it has an effect
-and raises :class:`ValueError` when it has none — a corpus program whose
-planted bug evaporated (e.g. after a planner change) must fail loudly,
-not silently go green.
+and raises :class:`BugPragmaError` when it has none — a corpus program
+whose planted bug evaporated (e.g. after a planner change) must fail
+loudly, not silently go green.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.compiler.postpass.scatter import (
-    RegionCommPlan,
-    _mask_to_transfers,
-    _transfers_mask,
-)
+from repro.compiler.postpass.granularity import plan_mask
+from repro.compiler.postpass.scatter import RegionCommPlan, _mask_to_transfers
+from repro.errors import ReproError
 
-__all__ = ["apply_bug_pragmas"]
+__all__ = ["BugPragmaError", "apply_bug_pragmas"]
+
+
+class BugPragmaError(ValueError, ReproError):
+    """A ``C$BUG`` pragma that is malformed or has no effect."""
+
 
 #: Pragma sentinel scanned for by :func:`repro.compiler.pipeline.compile_source`.
 PRAGMA = "C$BUG"
@@ -60,7 +63,7 @@ def _drop_scatter(program, array: str, rank: int) -> None:
                 f"bugseed: dropped scatter of {array} to rank {rank}"
             )
             return
-    raise ValueError(
+    raise BugPragmaError(
         f"C$BUG DROP-SCATTER {array} {rank}: no region scatters it"
     )
 
@@ -72,7 +75,7 @@ def _drop_collect(program, array: str) -> None:
             aplan.collect.clear()
             plan.notes.append(f"bugseed: dropped collect of {array}")
             return
-    raise ValueError(f"C$BUG DROP-COLLECT {array}: no region collects it")
+    raise BugPragmaError(f"C$BUG DROP-COLLECT {array}: no region collects it")
 
 
 def _drop_fence(program, phase: str) -> None:
@@ -89,7 +92,7 @@ def _drop_fence(program, phase: str) -> None:
             plan.collect_fence = False
             plan.notes.append("bugseed: dropped the collect fence")
             return
-    raise ValueError(f"C$BUG DROP-FENCE {phase}: no region has that phase")
+    raise BugPragmaError(f"C$BUG DROP-FENCE {phase}: no region has that phase")
 
 
 def _keep_grain(program, array: str) -> None:
@@ -99,7 +102,7 @@ def _keep_grain(program, array: str) -> None:
             continue
         size = program.env.sizes[array]
         for rank, transfers in list(aplan.collect.items()):
-            mask = _transfers_mask(transfers, size)
+            mask = plan_mask(transfers, size)
             aplan.collect[rank] = _mask_to_transfers(mask, aplan.grain)
         aplan.collect_grain = aplan.grain
         aplan.demotion_reason = None
@@ -108,16 +111,16 @@ def _keep_grain(program, array: str) -> None:
             "(demotion undone)"
         )
         return
-    raise ValueError(f"C$BUG KEEP-GRAIN {array}: no demoted collect found")
+    raise BugPragmaError(f"C$BUG KEEP-GRAIN {array}: no demoted collect found")
 
 
 def apply_bug_pragmas(program, source: str) -> None:
     """Apply every ``C$BUG`` pragma in ``source`` to ``program`` in place."""
     for words in _pragma_lines(source):
         if not words:
-            raise ValueError("empty C$BUG pragma")
+            raise BugPragmaError("empty C$BUG pragma")
         op, args = words[0].upper(), words[1:]
-        if op == "DROP-SCATTER" and len(args) == 2:
+        if op == "DROP-SCATTER" and len(args) == 2 and args[1].isdigit():
             _drop_scatter(program, args[0].upper(), int(args[1]))
         elif op == "DROP-COLLECT" and len(args) == 1:
             _drop_collect(program, args[0].upper())
@@ -129,4 +132,4 @@ def apply_bug_pragmas(program, source: str) -> None:
         elif op == "KEEP-GRAIN" and len(args) == 1:
             _keep_grain(program, args[0].upper())
         else:
-            raise ValueError(f"unknown C$BUG pragma: {' '.join(words)}")
+            raise BugPragmaError(f"unknown C$BUG pragma: {' '.join(words)}")

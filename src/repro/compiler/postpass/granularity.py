@@ -17,15 +17,16 @@ fine/middle move ``prod_j>=2 (dj/aj + 1)`` messages, coarse moves 1 per
 region (i.e. per parallel chunk — ``dp/ap + 1`` across the machine).
 
 For data *collecting*, approximate regions may overwrite another rank's
-results or master data the slave never received; :func:`collect_demotion`
-implements (and extends, via exact masks) the paper's bound check that
-falls back to fine grain in that case.
+results or master data the slave never received; the planner's bound
+check (:func:`repro.compiler.postpass.scatter.collect_hazards` and
+:func:`~repro.compiler.postpass.scatter.stale_collects`) falls back to
+fine grain in that case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ __all__ = [
     "Transfer",
     "plan_transfers",
     "plan_bytes",
-    "collect_demotion",
+    "plan_mask",
 ]
 
 FINE = "fine"
@@ -107,58 +108,3 @@ def plan_mask(transfers: Sequence[Transfer], size: int) -> np.ndarray:
             raise ValueError(f"{t} outside array of size {size}")
         m[t.indices()] = True
     return m
-
-
-def collect_demotion(
-    write_lmads_by_rank: Dict[int, List[LMAD]],
-    scatter_masks_by_rank: Dict[int, np.ndarray],
-    grain: str,
-    size: int,
-) -> Tuple[str, Optional[str]]:
-    """Decide the safe collect granularity for one array.
-
-    Approximate (middle/coarse) collect regions are *inflated*: they carry
-    elements the rank did not write.  They are safe only when, for every
-    rank, the inflated extras hold current values on that rank — i.e. each
-    extra element was either scattered to the rank in this region or
-    written by the rank itself — and no two ranks' inflated regions
-    overlap except where their exact writes already coincide (which the
-    exactness of fine-grain writes rules out anyway).
-
-    Returns ``(grain_to_use, reason)`` where reason explains a demotion.
-    This is the paper's §5.6 upper/lower-bound check, made exact with
-    masks.
-    """
-    if grain == FINE:
-        return FINE, None
-
-    exact: Dict[int, np.ndarray] = {}
-    inflated: Dict[int, np.ndarray] = {}
-    for rank, lmads in write_lmads_by_rank.items():
-        ex = np.zeros(size, dtype=bool)
-        inf = np.zeros(size, dtype=bool)
-        for l in lmads:
-            ex |= l.mask(size)
-            inf |= plan_mask(plan_transfers(l, grain), size)
-        exact[rank] = ex
-        inflated[rank] = inf
-
-    ranks = sorted(write_lmads_by_rank)
-    for i, r1 in enumerate(ranks):
-        for r2 in ranks[i + 1 :]:
-            if (inflated[r1] & inflated[r2]).any():
-                return FINE, (
-                    f"{grain} regions of ranks {r1} and {r2} overlap"
-                )
-    for r in ranks:
-        extra = inflated[r] & ~exact[r]
-        held = scatter_masks_by_rank.get(r)
-        if held is None:
-            held = np.zeros(size, dtype=bool)
-        uncovered = extra & ~held
-        if uncovered.any():
-            return FINE, (
-                f"{grain} region of rank {r} would carry "
-                f"{int(uncovered.sum())} stale element(s)"
-            )
-    return grain, None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from repro.compiler.postpass.granularity import (
     FINE,
     MIDDLE,
     Transfer,
+    plan_mask,
     plan_transfers,
 )
 from repro.compiler.postpass.partition import (
@@ -77,7 +78,14 @@ from repro.compiler.postpass.spmd import (
     SeqLoop,
 )
 
-__all__ = ["ArrayCommPlan", "RegionCommPlan", "CommPlanner", "PlanError"]
+__all__ = [
+    "ArrayCommPlan",
+    "RegionCommPlan",
+    "CommPlanner",
+    "PlanError",
+    "collect_hazards",
+    "stale_collects",
+]
 
 #: Iteration cap for the exact per-iteration (triangular) fallback.
 _PER_ITER_CAP = 8192
@@ -187,13 +195,6 @@ def _mask_of(lmads: Sequence[LMAD], size: int) -> np.ndarray:
     return m
 
 
-def _transfers_mask(transfers: Sequence[Transfer], size: int) -> np.ndarray:
-    m = np.zeros(size, dtype=bool)
-    for t in transfers:
-        m[t.indices()] = True
-    return m
-
-
 def _mask_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     """(start, length) of each maximal run of True."""
     idx = np.flatnonzero(mask)
@@ -215,6 +216,57 @@ def _mask_to_transfers(mask: np.ndarray, grain: str) -> List[Transfer]:
         last = runs[-1][0] + runs[-1][1] - 1
         return [Transfer(offset=first, count=last - first + 1, stride=1)]
     return [Transfer(offset=o, count=n, stride=1) for o, n in runs]
+
+
+def collect_hazards(
+    masks: Dict[int, np.ndarray],
+) -> Iterator[Tuple[int, int, int]]:
+    """The §5.6 overlap check: ``(r1, r2, n)`` for each pair of ranks
+    whose masks share ``n > 0`` elements, in lexicographic order.
+
+    One pass over the ranks finds the elements with two or more writers;
+    only ranks touching one of those are compared, and only on them.  A
+    caller that needs one hazard stops at the first.
+    """
+    ranks = sorted(masks)
+    if len(ranks) < 2:
+        return
+    seen = np.zeros_like(masks[ranks[0]])
+    shared = np.zeros_like(seen)
+    for r in ranks:
+        shared |= seen & masks[r]
+        seen |= masks[r]
+    if not shared.any():
+        return
+    hot = [(r, masks[r][shared]) for r in ranks]
+    hot = [(r, m) for r, m in hot if m.any()]
+    for i, (r1, m1) in enumerate(hot):
+        for r2, m2 in hot[i + 1 :]:
+            n = int(np.count_nonzero(m1 & m2))
+            if n:
+                yield r1, r2, n
+
+
+def stale_collects(
+    landed: Dict[int, np.ndarray],
+    written: Dict[int, np.ndarray],
+    valid: np.ndarray,
+    scattered: Dict[int, np.ndarray],
+) -> Iterator[Tuple[int, int]]:
+    """The §5.6 stale check: ``(rank, n)`` for each slave whose collect
+    sends ``n`` elements it does not hold current — not written by it,
+    not scattered to it in this region, not still valid from earlier
+    (``valid`` is the entry validity, one row per rank)."""
+    for r in sorted(landed):
+        own = written.get(r)
+        if r == 0 or own is None:
+            continue
+        held = valid[r] | own
+        if r in scattered:
+            held |= scattered[r]
+        n = int(np.count_nonzero(landed[r] & ~held))
+        if n:
+            yield r, n
 
 
 @dataclass
@@ -608,7 +660,7 @@ class CommPlanner:
             else:  # pragma: no cover - reads always have lmads
                 transfers = _mask_to_transfers(info.read_mask, aplan.grain)
             aplan.scatter[r] = transfers
-            scattered[r] = _transfers_mask(transfers, size)
+            scattered[r] = plan_mask(transfers, size)
 
         # Broadcast detection: every slave gets the identical plan.
         slave_plans = [aplan.scatter.get(r) for r in range(1, self.nprocs)]
@@ -642,19 +694,18 @@ class CommPlanner:
             return
 
         # Writes of different ranks must be disjoint (the loop is parallel).
-        ranks = sorted(r for r in ranks_info if ranks_info[r].write_mask.any())
-        for i, r1 in enumerate(ranks):
-            for r2 in ranks[i + 1 :]:
-                if (ranks_info[r1].write_mask & ranks_info[r2].write_mask).any():
-                    raise PlanError(
-                        f"{aplan.array}: ranks {r1} and {r2} write "
-                        "overlapping regions in a parallel loop"
-                    )
+        written = {r: info.write_mask for r, info in ranks_info.items()}
+        clash = next(collect_hazards(written), None)
+        if clash is not None:
+            raise PlanError(
+                f"{aplan.array}: ranks {clash[0]} and {clash[1]} write "
+                "overlapping regions in a parallel loop"
+            )
 
         grain = aplan.grain
         transfers_by_rank = self._collect_transfers(ranks_info, grain)
         demote_reason = self._collect_safety(
-            aplan.array, ranks_info, transfers_by_rank, scattered, size
+            aplan.array, written, transfers_by_rank, scattered, size
         )
         if demote_reason is not None and grain != FINE:
             aplan.demotion_reason = demote_reason
@@ -664,7 +715,7 @@ class CommPlanner:
             grain = FINE
             transfers_by_rank = self._collect_transfers(ranks_info, grain)
             residual = self._collect_safety(
-                aplan.array, ranks_info, transfers_by_rank, scattered, size
+                aplan.array, written, transfers_by_rank, scattered, size
             )
             if residual is not None:
                 raise PlanError(
@@ -702,34 +753,24 @@ class CommPlanner:
     def _collect_safety(
         self,
         array: str,
-        ranks_info: Dict[int, _RankRegions],
+        written: Dict[int, np.ndarray],
         transfers_by_rank: Dict[int, List[Transfer]],
         scattered: Dict[int, np.ndarray],
         size: int,
     ) -> Optional[str]:
-        """The §5.6 bound check, exact: None when safe, else a reason."""
+        """The §5.6 bound check, exact: None when safe, else a reason.
+
+        Rank 0's inflated transfers stand in for its in-place writes: a
+        superset of what ``repro check`` counts, so a plan accepted here
+        checks clean there.
+        """
         inflated = {
-            r: _transfers_mask(ts, size) for r, ts in transfers_by_rank.items()
+            r: plan_mask(ts, size) for r, ts in transfers_by_rank.items()
         }
-        ranks = sorted(inflated)
-        for i, r1 in enumerate(ranks):
-            for r2 in ranks[i + 1 :]:
-                if (inflated[r1] & inflated[r2]).any():
-                    return f"regions of ranks {r1} and {r2} overlap"
-        for r in ranks:
-            if r == 0:
-                continue
-            # Elements a rank sends without having written must hold
-            # current values: written by the rank, scattered to it in this
-            # region, or still valid from an earlier scatter.
-            extra = inflated[r] & ~ranks_info[r].write_mask
-            held = self._valid[array][r] | ranks_info[r].write_mask
-            if r in scattered:
-                held = held | scattered[r]
-            uncovered = extra & ~held
-            if uncovered.any():
-                return (
-                    f"rank {r} would send {int(uncovered.sum())} stale "
-                    "element(s)"
-                )
+        for r1, r2, _n in collect_hazards(inflated):
+            return f"regions of ranks {r1} and {r2} overlap"
+        for r, n in stale_collects(
+            inflated, written, self._valid[array], scattered
+        ):
+            return f"rank {r} would send {n} stale element(s)"
         return None

@@ -32,7 +32,7 @@ from repro.errors import ReproError
 from repro.runtime.memory import RankMemory
 from repro.vbus.params import CpuParams
 
-__all__ = ["Interpreter", "InterpError", "SubscriptError"]
+__all__ = ["Interpreter", "InterpError", "SubscriptError", "DivideByZeroError"]
 
 
 class InterpError(RuntimeError):
@@ -41,6 +41,20 @@ class InterpError(RuntimeError):
 
 class SubscriptError(InterpError, ReproError):
     """A subscript past the declared end of its array (a program bug)."""
+
+
+class DivideByZeroError(InterpError, ReproError):
+    """A ``/`` or ``MOD`` with a zero divisor (a program bug).
+
+    Raised by the scalar and the vectorized path alike: a vectorized
+    loop that hits it falls back to the scalar loop, which raises it.
+    """
+
+
+def _check_divisor(b, e) -> None:
+    zero = (b == 0).any() if isinstance(b, np.ndarray) else b == 0
+    if zero:
+        raise DivideByZeroError(f"division by zero in {e}")
 
 
 def _is_int_like(x) -> bool:
@@ -210,6 +224,7 @@ class Interpreter:
             if e.op == "*":
                 return a * b
             if e.op == "/":
+                _check_divisor(b, e)
                 if _is_int_like(a) and _is_int_like(b):
                     return _trunc_div(a, b)
                 return a / b
@@ -259,6 +274,7 @@ class Interpreter:
                 out = np.minimum(out, a)
             return out
         if name == "MOD":
+            _check_divisor(args[1], e)
             if _is_int_like(args[0]) and _is_int_like(args[1]):
                 q = _trunc_div(args[0], args[1])
                 return args[0] - q * args[1]

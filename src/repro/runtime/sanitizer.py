@@ -16,8 +16,9 @@ Violation codes mirror the static ones they cross-validate:
 * ``S-STALE`` — a collect sent elements the sender never held current
   values for (RV202);
 * ``S-RACE``  — two ranks' recorded accesses of one region conflict:
-  write/write overlap (RV201) or a read of another rank's fresh write
-  (RV401);
+  write/write overlap, a slave collect overwriting an element the
+  master wrote in place (RV201), or a read of another rank's fresh
+  write (RV401);
 * ``S-FENCE`` — a transfer phase ran without its closing fence epoch
   (RV301/RV302).
 
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.compiler.postpass.scatter import collect_hazards
 
 __all__ = ["Violation", "Sanitizer"]
 
@@ -79,8 +82,8 @@ class Sanitizer:
         #: region_id -> array -> rank -> access mask.
         self._reads: Dict[int, Dict[str, Dict[int, np.ndarray]]] = {}
         self._writes: Dict[int, Dict[str, Dict[int, np.ndarray]]] = {}
-        #: region_id -> array -> elements collected with a valid source.
-        self._collected: Dict[int, Dict[str, np.ndarray]] = {}
+        #: region_id -> array -> rank -> elements its collects landed on.
+        self._collected: Dict[int, Dict[str, Dict[int, np.ndarray]]] = {}
 
     # -- violation bookkeeping -------------------------------------------
     def _flag(self, code, region_id, detail, array=None, rank=None):
@@ -180,13 +183,7 @@ class Sanitizer:
                 array=name, rank=rank,
             )
         plane[0, idx] = valid
-        coll = self._collected.setdefault(region_id, {}).get(name)
-        if coll is None:
-            coll = np.zeros(plane.shape[1], dtype=bool)
-            self._collected[region_id][name] = coll
-        got = np.zeros(plane.shape[1], dtype=bool)
-        got[idx] = valid
-        coll |= got
+        self._record(self._collected, region_id, name, rank, idx)
 
     def fence_skipped(self, region_id: int, phase: str, plan) -> None:
         has = any(
@@ -211,17 +208,25 @@ class Sanitizer:
                 continue
             w = writes.get(name, {})
             r = reads.get(name, {})
+            landed = collected.get(name, {})
             ranks = sorted(set(w) | set(r))
             # Write/write overlap between ranks.
             wranks = sorted(w)
-            for i, r1 in enumerate(wranks):
-                for r2 in wranks[i + 1:]:
-                    if (w[r1] & w[r2]).any():
+            for r1, r2, _n in collect_hazards(w):
+                self._flag(
+                    "S-RACE", region_id,
+                    f"ranks {r1} and {r2} wrote overlapping element(s)",
+                    array=name, rank=r1,
+                )
+            # A slave collect overwrote the master's in-place write.
+            if 0 in w:
+                for p in sorted(landed):
+                    if (landed[p] & w[0]).any():
                         self._flag(
                             "S-RACE", region_id,
-                            f"ranks {r1} and {r2} wrote overlapping "
-                            "element(s)",
-                            array=name, rank=r1,
+                            f"rank {p}'s collect overwrote element(s) "
+                            "rank 0 wrote in the same region",
+                            array=name, rank=p,
                         )
             # Read of another rank's fresh write (flow across ranks).
             for q in ranks:
@@ -240,15 +245,15 @@ class Sanitizer:
                             "the same region",
                             array=name, rank=q,
                         )
-            # Cross-rank invalidation, then collected results stay valid
-            # on the master (recorded with sender validity at put time).
+            # Cross-rank invalidation.  On the master, an element a
+            # collect landed on keeps the validity its sender gave it.
             allw = np.zeros(plane.shape[1], dtype=bool)
             for p in w:
                 allw |= w[p]
             for q in range(nprocs):
                 own = w.get(q)
                 stale = allw if own is None else (allw & ~own)
+                if q == 0:
+                    for got in landed.values():
+                        stale = stale & ~got
                 plane[q, stale] = False
-            got = collected.get(name)
-            if got is not None:
-                plane[0, got] = True

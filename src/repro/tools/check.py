@@ -12,7 +12,8 @@ actually emitted.  Four analyses, each with stable diagnostic codes
   collect (RV102);
 * **RV2xx approximate-region races** — the §5.6 middle/coarse collect
   bound check re-derived for the *emitted* plan: overlapping collect
-  regions (RV201) and stale elements inside inflated collects (RV202);
+  regions, the master's in-place writes counting as rank 0's (RV201),
+  and stale elements inside inflated collects (RV202);
 * **RV3xx fence discipline** — a scatter (RV301) or collect (RV302)
   phase whose closing fence epoch is missing;
 * **RV4xx partition legality** — a cross-rank flow dependence carried by
@@ -48,11 +49,13 @@ from repro.compiler.analysis.summary import (
 )
 from repro.compiler.pipeline import CompileOptions, compile_source
 from repro.compiler.postpass.env import generate_environment
+from repro.compiler.postpass.granularity import plan_mask
 from repro.compiler.postpass.scatter import (
     _PER_ITER_CAP,
     CommPlanner,
     RegionCommPlan,
-    _transfers_mask,
+    collect_hazards,
+    stale_collects,
 )
 from repro.compiler.postpass.spmd import build_regions
 from repro.sweep.cache import job_key, load_row, store_row
@@ -70,7 +73,7 @@ __all__ = [
 #: Bumped whenever CheckReport JSON or a diagnostic's meaning changes;
 #: part of the content-address cache key, so stale reports cannot be
 #: served across schema changes.
-CHECK_SCHEMA_VERSION = 1
+CHECK_SCHEMA_VERSION = 2
 
 #: code -> one-line meaning (the authoritative table is docs/CHECK.md).
 DIAGNOSTIC_CODES = {
@@ -246,11 +249,11 @@ class _VerifyingPlanner(CommPlanner):
                 continue
             cls = region_summary.arrays[name].classification
             scattered = {
-                r: _transfers_mask(ts, size)
+                r: plan_mask(ts, size)
                 for r, ts in aplan_e.scatter.items()
             }
             collected = {
-                r: _transfers_mask(ts, size)
+                r: plan_mask(ts, size)
                 for r, ts in aplan_e.collect.items()
             }
 
@@ -297,38 +300,30 @@ class _VerifyingPlanner(CommPlanner):
                         ))
 
             # RV201/RV202: the §5.6 bound check on the emitted collects.
-            ranks = sorted(collected)
-            for i, r1 in enumerate(ranks):
-                for r2 in ranks[i + 1:]:
-                    overlap = collected[r1] & collected[r2]
-                    if overlap.any():
-                        diags.append(Diagnostic(
-                            code="RV201", region_id=rid, array=name, rank=r1,
-                            loop_var=loop_var,
-                            detail=(
-                                f"{aplan_e.collect_grain} collect regions of "
-                                f"ranks {r1} and {r2} overlap on "
-                                f"{int(overlap.sum())} element(s)"
-                            ),
-                        ))
-            for r in ranks:
-                info = ranks_info.get(r)
-                if info is None:
-                    continue
-                extra = collected[r] & ~info.write_mask
-                held = valid[r] | info.write_mask
-                if r in scattered:
-                    held = held | scattered[r]
-                stale = extra & ~held
-                if stale.any():
-                    diags.append(Diagnostic(
-                        code="RV202", region_id=rid, array=name, rank=r,
-                        loop_var=loop_var,
-                        detail=(
-                            f"{aplan_e.collect_grain} collect would send "
-                            f"{int(stale.sum())} stale element(s)"
-                        ),
-                    ))
+            # The master's own writes land in place, so they are rank 0's
+            # collect region.
+            landed = dict(collected)
+            if 0 in ranks_info:
+                landed[0] = ranks_info[0].write_mask
+            for r1, r2, n in collect_hazards(landed):
+                diags.append(Diagnostic(
+                    code="RV201", region_id=rid, array=name, rank=r1,
+                    loop_var=loop_var,
+                    detail=(
+                        f"{aplan_e.collect_grain} collect regions of "
+                        f"ranks {r1} and {r2} overlap on {n} element(s)"
+                    ),
+                ))
+            written = {r: info.write_mask for r, info in ranks_info.items()}
+            for r, n in stale_collects(collected, written, valid, scattered):
+                diags.append(Diagnostic(
+                    code="RV202", region_id=rid, array=name, rank=r,
+                    loop_var=loop_var,
+                    detail=(
+                        f"{aplan_e.collect_grain} collect would send "
+                        f"{n} stale element(s)"
+                    ),
+                ))
 
         # RV301/RV302: transfers outside a fence epoch.
         if any(a.scatter for a in plan_e.arrays.values()) and not (

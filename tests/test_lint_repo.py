@@ -1,0 +1,35 @@
+"""The repo-convention lints (tools/lint_repo.py) run in the tier-1 suite."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LINT_PATH = Path(__file__).resolve().parents[1] / "tools" / "lint_repo.py"
+
+
+@pytest.fixture
+def lint_repo():
+    spec = importlib.util.spec_from_file_location("lint_repo", LINT_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_repo_lints_are_clean(lint_repo, capsys):
+    assert lint_repo.main() == 0, capsys.readouterr().out
+
+
+def test_dead_markdown_link_is_a_finding(lint_repo, tmp_path, monkeypatch):
+    (tmp_path / "there.md").write_text("ok\n")
+    (tmp_path / "doc.md").write_text(
+        "[a](there.md) [b](there.md#x) [c](#top) [d](https://example.org)\n"
+        "[e](gone.md#frag)\n"
+    )
+    monkeypatch.setattr(lint_repo, "REPO", tmp_path)
+    monkeypatch.setattr(
+        lint_repo, "_tracked_markdown", lambda: ["doc.md", "there.md"]
+    )
+    findings = []
+    lint_repo.lint_markdown_links(findings)
+    assert findings == ["doc.md:2: dead link -> gone.md#frag"]

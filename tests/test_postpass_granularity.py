@@ -10,11 +10,11 @@ from repro.compiler.postpass.granularity import (
     FINE,
     MIDDLE,
     Transfer,
-    collect_demotion,
     plan_bytes,
     plan_mask,
     plan_transfers,
 )
+from repro.compiler.postpass.scatter import collect_hazards, stale_collects
 
 
 def test_transfer_validation():
@@ -151,6 +151,26 @@ def _no_scatter(size, ranks):
     return {r: np.zeros(size, dtype=bool) for r in ranks}
 
 
+def collect_demotion(writes, scattered, grain, size):
+    """The planner's §5.6 verdict on exact write LMADs collected at
+    ``grain``, with no copy valid from before the region: the grain to
+    use and the reason for a demotion."""
+    written, inflated = {}, {}
+    for r, lmads in writes.items():
+        written[r] = np.zeros(size, dtype=bool)
+        for l in lmads:
+            written[r] |= l.mask(size)
+        inflated[r] = plan_mask(
+            [t for l in lmads for t in plan_transfers(l, grain)], size
+        )
+    valid = np.zeros((max(writes) + 1, size), dtype=bool)
+    for r1, r2, _n in collect_hazards(inflated):
+        return FINE, f"{grain} regions of ranks {r1} and {r2} overlap"
+    for r, n in stale_collects(inflated, written, valid, scattered):
+        return FINE, f"{grain} region of rank {r} has {n} stale element(s)"
+    return grain, None
+
+
 def test_demotion_on_overlapping_coarse_regions():
     """Interleaved rank regions: coarse bounding boxes overlap -> fine."""
     size = 40
@@ -205,6 +225,7 @@ def test_inflation_covered_by_own_writes_is_safe():
 
 
 def test_fine_never_demoted():
+    """Fine transfers are exact, so disjoint writes never trip it."""
     size = 10
     writes = {1: [LMAD.from_counts("A", 0, [(3, 3)])]}
     grain, reason = collect_demotion(writes, _no_scatter(size, [1]), FINE, size)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.compiler.pipeline import compile_source
 from repro.compiler.postpass.granularity import COARSE, FINE, MIDDLE
+from repro.compiler.postpass.scatter import collect_hazards
 from repro.compiler.postpass.spmd import ParRegion, iter_regions
 from repro.runtime.executor import run_program, run_sequential
 from repro.workloads import cffzinit, mm, synthetic
@@ -215,3 +216,37 @@ def test_plan_message_and_byte_accounting():
         for a in plan.arrays.values()
     )
     assert plan.total_bytes() > 0
+
+
+def _pairwise_hazards(masks):
+    """The brute-force O(P^2) reference for :func:`collect_hazards`."""
+    ranks = sorted(masks)
+    out = []
+    for i, r1 in enumerate(ranks):
+        for r2 in ranks[i + 1:]:
+            n = int((masks[r1] & masks[r2]).sum())
+            if n:
+                out.append((r1, r2, n))
+    return out
+
+
+def test_collect_hazards_match_pairwise_reference():
+    """Fixed edge cases, then random masks over 1-9 ranks with rank 0
+    always present and some ranks empty or missing: the kernel's pairs
+    are the pairwise reference's, in the same lexicographic order."""
+    empty = np.zeros(8, dtype=bool)
+    full = np.ones(8, dtype=bool)
+    cases = [{}, {0: full}, {0: empty, 1: empty}, {3: full, 0: full, 1: empty}]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        size = int(rng.integers(1, 64))
+        density = float(rng.choice([0.0, 0.02, 0.1, 0.5]))
+        masks = {}
+        for r in range(int(rng.integers(1, 10))):
+            if r and rng.random() < 0.2:
+                continue  # a rank with no entry at all
+            masks[r] = rng.random(size) < (0 if rng.random() < 0.2 else density)
+        cases.append(masks)
+    for masks in cases:
+        assert list(collect_hazards(masks)) == _pairwise_hazards(masks)
+    assert list(collect_hazards(cases[3])) == [(0, 3, 8)]

@@ -73,6 +73,21 @@ def test_every_badprog_trips_a_matching_s_code(fname):
         )
 
 
+def test_master_collect_overwrite_is_an_s_race():
+    """race_master_collect.f: rank 1's coarse collect lands on elements
+    the master wrote in place, so the run prints the pre-region values;
+    the sanitizer names that overwrite as an S-RACE on rank 1."""
+    spec = MANIFEST["race_master_collect.f"]
+    report = _sanitized(
+        (BADPROG_DIR / "race_master_collect.f").read_text(), **spec["options"]
+    )
+    assert report.stdout[0].split()[:3] == ["4", "6", "30"]  # not 12, 60
+    races = [v for v in report.sanitizer["violations"]
+             if v["code"] == "S-RACE"]
+    assert [(v["rank"], v["array"]) for v in races] == [(1, "A")]
+    assert "rank 0 wrote" in races[0]["detail"]
+
+
 def test_violations_deduplicate_with_counts():
     """unfenced_collect.f skips one fence epoch per region visit: one
     deduplicated S-FENCE entry whose count tallies the repeats."""

@@ -117,8 +117,9 @@ def test_cli_missing_artifacts_exit_2_without_traceback(
 ):
     """Unloadable plan/calibration/fault/grid artifacts, unparsable
     sources, workload sizes the generators reject, paths that are
-    neither a file nor a spec and out-of-range subscripts are CLI errors
-    (exit 2, message on stderr), never tracebacks."""
+    neither a file nor a spec, out-of-range subscripts, division by zero
+    and inert C$BUG pragmas are CLI errors (exit 2, message on stderr),
+    never tracebacks."""
     for argv in (
         ["run", mm_file, "--tune-plan", "/no/such/plan.json"],
         ["run", mm_file, "--faults", "/no/such/faults.json"],
@@ -158,6 +159,29 @@ def test_cli_missing_artifacts_exit_2_without_traceback(
         err = capsys.readouterr().err
         assert err.startswith("repro: ") and "array A" in err
         assert "size 8" in err and len(err.splitlines()) == 1
+    # Division by zero: scalar integer and real, vectorized integer `/`
+    # and MOD, and a constant the front end folds.
+    head = "      PROGRAM P\n      INTEGER I, K\n      INTEGER B(8)\n"
+    for body, what in (
+        ("      K = 0\n      I = 5 / K\n", "(5 / K)"),
+        ("      Y = 0.0\n      X = 1.0 / Y\n", "(1.0 / Y)"),
+        ("      K = 0\n      DO I = 1, 8\n        B(I) = I / K\n"
+         "      ENDDO\n", "(I / K)"),
+        ("      K = 0\n      DO I = 1, 8\n        B(I) = MOD(I, K)\n"
+         "      ENDDO\n", "MOD(I, K)"),
+        ("      X = 1.0 / 0\n", "(1.0 / 0)"),
+    ):
+        div = tmp_path / "div.f"
+        div.write_text(head + body + "      END\n")
+        assert main(["run", str(div)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: division by zero in ")
+        assert what in err and len(err.splitlines()) == 1
+    # A C$BUG pragma with nothing to act on (one rank plans no collect).
+    race = str(BADPROG_DIR / "race_coarse_collect.f")
+    assert main(["check", "--nprocs", "1", race]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: C$BUG KEEP-GRAIN A")
 
 
 def test_cli_sweep_cold_then_warm_is_byte_identical(tmp_path, capsys):
@@ -203,15 +227,22 @@ def test_user_input_errors_share_one_root():
     from repro.compiler.frontend.symtab import SymtabError
     from repro.compiler.postpass.partition import PartitionError
     from repro.errors import ReproError
-    from repro.runtime.interp import InterpError, SubscriptError
+    from repro.compiler.postpass.bugseed import BugPragmaError
+    from repro.runtime.interp import (
+        DivideByZeroError,
+        InterpError,
+        SubscriptError,
+    )
     from repro.sweep.grid import SweepConfigError
     from repro.workloads import WorkloadSpecError
 
-    for cls in (AccessError, AffineError, LowerError, LexError,
-                PartitionError, SweepConfigError, SymtabError,
+    for cls in (AccessError, AffineError, BugPragmaError, LowerError,
+                LexError, PartitionError, SweepConfigError, SymtabError,
                 WorkloadSpecError):
         assert issubclass(cls, ReproError) and issubclass(cls, ValueError)
     assert issubclass(ParseError, ReproError)
     assert issubclass(ParseError, SyntaxError)
     assert issubclass(SubscriptError, ReproError)
     assert issubclass(SubscriptError, InterpError)
+    assert issubclass(DivideByZeroError, ReproError)
+    assert issubclass(DivideByZeroError, InterpError)

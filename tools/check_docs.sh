@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Validate that README/docs code snippets and CLI examples actually run,
-# and that intra-repo markdown links point at files that exist.
+# and run the repo lints (among them: intra-repo markdown links point at
+# files that exist).
 #
 # Usage: tools/check_docs.sh [pytest args...]
 #   e.g. tools/check_docs.sh -m "not slow"   # skip the MM-256 quickstart
@@ -8,50 +9,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
-
-echo "-- markdown link check --"
-python - <<'EOF'
-"""Fail on dead intra-repo links in tracked markdown files.
-
-Scans every ``[text](target)`` whose target is neither an absolute URL
-nor a bare ``#anchor`` and requires the referenced path to exist,
-resolved relative to the linking file (``#fragment`` suffixes are
-stripped; fragments themselves are not validated).
-"""
-import re
-import subprocess
-import sys
-from pathlib import Path
-
-LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-# Retrieval artifacts (verbatim paper/code dumps), not authored docs —
-# they carry PDF-extraction debris like image refs that never existed.
-SKIP = {"PAPER.md", "PAPERS.md", "SNIPPETS.md"}
-files = [
-    f
-    for f in subprocess.run(
-        ["git", "ls-files", "*.md"], capture_output=True, text=True,
-        check=True,
-    ).stdout.split()
-    if f not in SKIP
-]
-dead = []
-for name in files:
-    path = Path(name)
-    for lineno, line in enumerate(
-        path.read_text().splitlines(), start=1
-    ):
-        for target in LINK.findall(line):
-            if target.startswith(("http://", "https://", "mailto:", "#")):
-                continue
-            ref = target.split("#", 1)[0]
-            if ref and not (path.parent / ref).exists():
-                dead.append(f"{name}:{lineno}: dead link -> {target}")
-if dead:
-    print("\n".join(dead))
-    sys.exit(1)
-print(f"markdown links OK ({len(files)} file(s) scanned)")
-EOF
 
 echo "-- repo convention lints --"
 python tools/lint_repo.py

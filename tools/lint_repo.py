@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-convention lints the generic toolchain can't express.
 
-Two rules, both load-bearing for reproducibility contracts:
+Three rules, each load-bearing for a reproducibility or docs contract:
 
 1. **No wall clocks in the simulator** (``src/repro/sim``,
    ``src/repro/vbus``): every quantity those layers produce must be
@@ -14,14 +14,22 @@ Two rules, both load-bearing for reproducibility contracts:
    changes the bytes of every previously-committed artifact and cache
    row (the byte-compat convention of docs/SWEEP.md and docs/CHECK.md).
 
+3. **No dead intra-repo markdown links**: every ``[text](target)`` in a
+   tracked markdown file whose target is neither an absolute URL nor a
+   bare ``#anchor`` must name a path that exists, resolved relative to
+   the linking file (``#fragment`` suffixes are stripped; fragments
+   themselves are not validated).
+
 Usage::
 
     python tools/lint_repo.py          # lints the tree, exit 1 on findings
 
-Run as part of tools/check_docs.sh.
+Run as part of tools/check_docs.sh and by tests/test_lint_repo.py.
 """
 
 import ast
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +58,14 @@ OPTIONAL_JSON_KEYS = {
     # CheckReport / Diagnostic / Violation (docs/CHECK.md)
     "diagnostics", "notes", "array", "rank", "loop_var", "region_id",
 }
+
+
+#: ``[text](target)`` in markdown.
+MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Retrieval artifacts (verbatim paper/code dumps), not authored docs —
+#: they carry PDF-extraction debris like image refs that never existed.
+MD_SKIP = {"PAPER.md", "PAPERS.md", "SNIPPETS.md"}
 
 
 def _iter_py(rel_dirs):
@@ -138,16 +154,38 @@ def lint_jsonable(findings):
                 _check_jsonable(node, path, findings)
 
 
+def _tracked_markdown():
+    out = subprocess.run(
+        ["git", "ls-files", "*.md"], cwd=REPO, capture_output=True,
+        text=True, check=True,
+    ).stdout.split()
+    return [name for name in out if name not in MD_SKIP]
+
+
+def lint_markdown_links(findings):
+    for name in _tracked_markdown():
+        path = REPO / name
+        lines = path.read_text().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            for target in MD_LINK.findall(line):
+                if target.startswith(("http://", "https://", "mailto:", "#")):
+                    continue
+                ref = target.split("#", 1)[0]
+                if ref and not (path.parent / ref).exists():
+                    findings.append(f"{name}:{lineno}: dead link -> {target}")
+
+
 def main() -> int:
     findings = []
     lint_wall_clock(findings)
     lint_jsonable(findings)
+    lint_markdown_links(findings)
     if findings:
         print("\n".join(findings))
         return 1
     nfiles = len(list(_iter_py(SIM_DIRS))) + len(
         list(_iter_py(("src/repro",)))
-    )
+    ) + len(_tracked_markdown())
     print(f"repo lints OK ({nfiles} file pass(es))")
     return 0
 
