@@ -4,11 +4,26 @@ Executes statement lists against a :class:`~repro.runtime.memory.RankMemory`
 and charges 300 MHz-CPU cycles from a static per-statement cost model.
 Two execution modes:
 
-* **value mode** (``execute=True``) — real arithmetic.  Innermost loops
-  whose body is a single assignment are vectorized with numpy (masks,
-  index arrays, reduction folding — the guide_00/guide_02 idioms), with
-  exact fallbacks to per-iteration execution whenever vectorization could
-  change semantics (duplicate targets, overlapping self-reads).
+* **value mode** (``execute=True``) — real arithmetic.  A loop whose
+  body holds only array assignments and inner DO loops of array
+  assignments runs as one *plane*: each statement once, in body order,
+  as a NumPy statement over its whole 1-level or 2-level iteration grid.
+  Deeper levels iterate in Python, so temporaries stay O(plane).  The
+  plane is legal when every element it writes is touched, by every read
+  and write in it, at one outer point, and at one inner point of the
+  inner loop that writes it; each lane then computes exactly what the
+  scalar loop computes.  A single-assignment loop whose target does not
+  vary with its variable is a reduction: its rows fold with the ufunc
+  reduction along the last axis (``np.add.reduce`` equals ``np.sum`` of
+  each row, bit for bit).  Everything else runs the scalar loop, which
+  is the reference: scalar targets (``_vector_scalar_lhs`` aside),
+  triangular inner bounds, an inner DO variable read outside its loop,
+  indirect subscripts or ``**`` outside a lone assignment (NumPy's
+  vector pow can differ from libm's in the last bit), any shape but a lone
+  direct assignment under an access probe, a failed legality check, and
+  an error mid-plane (its writes are undone first, and the scalar loop
+  raises the typed error).  Every subscript is checked against its
+  dimension's declared bounds (:class:`SubscriptError`).
 * **timing mode** (``execute=False``) — array arithmetic is skipped and
   pure loop nests are charged analytically (``niter x body_cycles``), so
   the 1024x1024 benchmarks run in O(structure) rather than O(work).
@@ -22,7 +37,8 @@ on compute/communication *ratios*, not microarchitectural detail.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,6 +132,10 @@ class Interpreter:
         self.cycles = 0.0
         self.prints: List[str] = []
         self._static: Dict[int, float] = {}
+        self._layouts: Dict[str, tuple] = {}
+        #: id(loop) -> (loop, its plane or None); holding the loop keeps
+        #: the id from being reused while the entry lives.
+        self._planes: Dict[int, tuple] = {}
         #: Optional :class:`repro.obs.metrics.MetricsRegistry` — counts
         #: which loop-execution strategy fired (pure accounting; never
         #: changes evaluation order or results).
@@ -180,14 +200,38 @@ class Interpreter:
         return w
 
     # -- evaluation -----------------------------------------------------------
+    def _layout(self, name: str):
+        """``((lo, hi), multiplier)`` per dimension of array ``name``."""
+        layout = self._layouts.get(name)
+        if layout is None:
+            sym = self.symtab.lookup(name)
+            if sym is None or not sym.is_array:
+                raise InterpError(f"{name} is not an array")
+            layout = tuple(zip(sym.dims, sym.multipliers()))
+            self._layouts[name] = layout
+        return layout
+
     def _flat_index(self, ref: F.ArrayRef, env):
-        sym = self.symtab.lookup(ref.name)
-        if sym is None or not sym.is_array:
-            raise InterpError(f"{ref.name} is not an array")
+        """Column-major flat offset of ``ref``; every subscript must lie
+        within its dimension's declared bounds (one compare per scalar,
+        one min/max per vector)."""
         idx = 0
-        for sub, (lo, hi), mult in zip(ref.subs, sym.dims, sym.multipliers()):
+        for dim, (sub, ((lo, hi), mult)) in enumerate(
+            zip(ref.subs, self._layout(ref.name)), 1
+        ):
             v = self.eval(sub, env)
-            idx = idx + (np.asarray(v, dtype=np.int64) - lo) * mult
+            if type(v) is not int:
+                v = np.asarray(v, dtype=np.int64)
+                if v.ndim == 0:
+                    v = int(v)
+            if type(v) is int:
+                if not lo <= v <= hi:
+                    raise self._out_of_range(ref.name, dim, v, lo, hi)
+            elif v.size:
+                for bad in (v.min(), v.max()):
+                    if not lo <= bad <= hi:
+                        raise self._out_of_range(ref.name, dim, bad, lo, hi)
+            idx = idx + (v - lo) * mult
         return idx
 
     def eval(self, e: F.Expr, env: Dict[str, object]):
@@ -207,13 +251,9 @@ class Interpreter:
             if not self.execute:
                 return 0.0
             idx = self._flat_index(e, env)
-            arr = self.mem.arrays[e.name]
-            try:
-                if self.probe is not None:
-                    self.probe(e.name, idx, False)
-                return arr[idx]
-            except IndexError:
-                raise self._out_of_range(e.name) from None
+            if self.probe is not None:
+                self.probe(e.name, idx, False)
+            return self.mem.arrays[e.name][idx]
         if isinstance(e, F.BinOp):
             a = self.eval(e.left, env)
             b = self.eval(e.right, env)
@@ -308,12 +348,9 @@ class Interpreter:
                     return
                 idx = self._flat_index(s.lhs, env)
                 value = self.eval(s.rhs, env)
-                try:
-                    if self.probe is not None:
-                        self.probe(s.lhs.name, idx, True)
-                    self.mem.arrays[s.lhs.name][idx] = value
-                except IndexError:
-                    raise self._out_of_range(s.lhs.name) from None
+                if self.probe is not None:
+                    self.probe(s.lhs.name, idx, True)
+                self.mem.arrays[s.lhs.name][idx] = value
         elif isinstance(s, F.Do):
             self.run_loop(s, env)
         elif isinstance(s, F.If):
@@ -338,12 +375,10 @@ class Interpreter:
         elif isinstance(s, F.Call):  # pragma: no cover - inlined by FE
             raise InterpError("CALL reached the interpreter")
 
-    def _out_of_range(self, name: str) -> SubscriptError:
-        # Raised from ``except IndexError`` only: the in-range path pays
-        # no bounds comparison.  Negative flat indices still wrap.
+    def _out_of_range(self, name, dim, value, lo, hi) -> SubscriptError:
         return SubscriptError(
-            f"subscript out of range for array {name} "
-            f"(declared size {self.mem.arrays[name].size})"
+            f"subscript {value} out of range {lo}:{hi} in dimension {dim} "
+            f"of array {name} (declared size {self.mem.arrays[name].size})"
         )
 
     @staticmethod
@@ -377,8 +412,7 @@ class Interpreter:
             step = int(self.eval(loop.step, env))
         if step == 0:
             raise InterpError(f"DO {loop.var}: zero step")
-        niter = (hi - lo) // step + 1 if (hi - lo) * step >= 0 else 0
-        niter = max(0, niter)
+        niter = _trip_count(lo, hi, step)
         if niter == 0:
             return
 
@@ -388,17 +422,10 @@ class Interpreter:
                 self.metrics.counter("interp.loops_analytic").inc()
             return
 
-        if self.execute and len(loop.body) == 1 and isinstance(loop.body[0], F.Assign):
-            values = np.arange(lo, lo + niter * step, step, dtype=np.int64)
-            if self._vector_assign(loop.body[0], loop.var, values, env):
-                self.cycles += niter * (
-                    self._w_assign(loop.body[0]) + self.cpu.cycles_loop
-                )
-                if self.metrics is not None:
-                    self.metrics.counter("interp.loops_vectorized").inc()
-                # Fortran: the DO variable holds first-past-the-end after.
-                self.mem.scalars[loop.var] = lo + niter * step
-                return
+        if self.execute and self._run_vector(loop, env, lo, step, niter):
+            # Fortran: the DO variable holds first-past-the-end after.
+            self.mem.scalars[loop.var] = lo + niter * step
+            return
 
         had = loop.var in env
         saved = env.get(loop.var)
@@ -434,7 +461,7 @@ class Interpreter:
     def _analytic_cycles(
         self, loop: F.Do, env: Dict[str, object], lo: int, hi: int, step: int
     ) -> float:
-        niter = max(0, (hi - lo) // step + 1 if (hi - lo) * step >= 0 else 0)
+        niter = _trip_count(lo, hi, step)
         if niter == 0:
             return 0.0
         triangular = any(
@@ -473,119 +500,175 @@ class Interpreter:
         return total
 
     # -- vectorization --------------------------------------------------------
-    def _vector_assign(
-        self,
-        stmt: F.Assign,
-        var: str,
-        values: np.ndarray,
-        env: Dict[str, object],
-    ) -> bool:
-        """Try to execute ``DO var: lhs = rhs`` as one numpy operation.
-
-        Returns False (leaving memory untouched) when the transformation
-        might change semantics; the caller then runs the scalar loop.
-        """
-        venv = dict(env)
-        venv[var] = values
-        try:
-            if isinstance(stmt.lhs, F.Var):
-                return self._vector_scalar_lhs(stmt, var, values, env, venv)
-            lhs_idx = self._flat_index(stmt.lhs, venv)
-        except (InterpError, KeyError):
-            return False
-
-        if np.ndim(lhs_idx) == 0:
-            return self._vector_reduction(
-                stmt, var, values, env, venv, int(lhs_idx)
-            )
-
-        lhs_idx = np.asarray(lhs_idx, dtype=np.int64)
-        if len(np.unique(lhs_idx)) != len(lhs_idx):
-            return False  # duplicate targets: order matters
-
-        # Self-reads must be either aligned (same index vector) or disjoint.
-        name = stmt.lhs.name
-        for node in F.walk_exprs(stmt.rhs):
-            if isinstance(node, F.ArrayRef) and node.name == name:
-                try:
-                    ridx = np.asarray(self._flat_index(node, venv), dtype=np.int64)
-                except InterpError:
-                    return False
-                if np.ndim(ridx) == 0:
-                    ridx = np.full(len(lhs_idx), int(ridx), dtype=np.int64)
-                if np.array_equal(ridx, lhs_idx):
-                    continue
-                if np.intersect1d(ridx, lhs_idx).size:
-                    return False
-        try:
-            value = self.eval(stmt.rhs, venv)
-        except InterpError:
-            return False
-        try:
-            if self.probe is not None:
-                self.probe(name, lhs_idx, True)
-            self.mem.arrays[name][lhs_idx] = value
-        except IndexError:
-            raise self._out_of_range(name) from None
+    def _run_vector(self, loop: F.Do, env, lo: int, step: int, niter: int) -> bool:
+        """Run ``loop`` as NumPy array statements where that cannot
+        change its result.  False leaves memory untouched; the caller
+        then runs the scalar loop."""
+        body = loop.body
+        values = np.arange(lo, lo + niter * step, step, dtype=np.int64)
+        nested = False
+        if (
+            len(body) == 1
+            and isinstance(body[0], F.Assign)
+            and isinstance(body[0].lhs, F.Var)
+        ):
+            if not self._vector_scalar_lhs(body[0], loop.var, values, env):
+                return False
+            cycles = niter * (self._w_assign(body[0]) + self.cpu.cycles_loop)
+        else:
+            plane = self._plane_of(loop)
+            if plane is None or (self.probe is not None and not plane.single):
+                return False
+            cycles = self._run_plane(plane, loop, env, values)
+            if cycles is None:
+                return False
+            nested = bool(plane.loops)
+        self.cycles += cycles
+        if self.metrics is not None:
+            self.metrics.counter("interp.loops_vectorized").inc()
+            if nested:
+                self.metrics.counter("interp.nests_vectorized").inc()
         return True
 
-    def _reduction_parts(self, stmt: F.Assign, lhs_key) -> Optional[tuple]:
-        """Match ``lhs = lhs op expr`` shapes; returns (op, expr)."""
-        rhs = stmt.rhs
+    def _plane_of(self, loop: F.Do) -> Optional["_Plane"]:
+        hit = self._planes.get(id(loop))
+        if hit is None or hit[0] is not loop:
+            hit = (loop, _plan_plane(loop))
+            self._planes[id(loop)] = hit
+        return hit[1]
 
-        def is_lhs(e):
-            if isinstance(stmt.lhs, F.Var):
-                return isinstance(e, F.Var) and e.name == stmt.lhs.name
-            return (
-                isinstance(e, F.ArrayRef)
-                and e.name == stmt.lhs.name
-                and str(e) == str(stmt.lhs)
-            )
+    def _run_plane(self, plane: "_Plane", loop: F.Do, env, ov) -> Optional[float]:
+        """Execute ``plane`` over the outer values ``ov``: each statement
+        once, in body order, over its whole 1-level or 2-level grid.
 
-        if isinstance(rhs, F.BinOp) and rhs.op in ("+", "-", "*"):
-            if is_lhs(rhs.left):
-                return (rhs.op, rhs.right)
-            if rhs.op in ("+", "*") and is_lhs(rhs.right):
-                return (rhs.op, rhs.left)
-        if (
-            isinstance(rhs, F.Intrinsic)
-            and rhs.name in ("MAX", "MIN")
-            and len(rhs.args) == 2
-        ):
-            if is_lhs(rhs.args[0]):
-                return (rhs.name, rhs.args[1])
-            if is_lhs(rhs.args[1]):
-                return (rhs.name, rhs.args[0])
-        return None
+        Returns the cycles the scalar loop would charge, or None with
+        memory as it was: a subscript out of bounds, an element touched
+        at two iteration points, or an evaluation error (whose typed
+        error the scalar loop then raises at its own point).
+        """
+        n = len(ov)
+        env1 = dict(env)
+        env1[loop.var] = ov
+        inner: Dict[int, Optional[tuple]] = {}  # id(do) -> (env, m, end)
+        written = {p.stmt.lhs.name: [] for p in plane.parts}
+        grids = []
+        undo = []
+        try:
+            for do in plane.loops:
+                klo = int(self.eval(do.lo, env))
+                khi = int(self.eval(do.hi, env))
+                kstep = int(self.eval(do.step, env))
+                if kstep == 0:
+                    return None
+                m = _trip_count(klo, khi, kstep)
+                envl = dict(env)
+                envl[loop.var] = ov[:, None]
+                envl[do.var] = np.arange(
+                    klo, klo + m * kstep, kstep, dtype=np.int64
+                )[None, :]
+                inner[id(do)] = (envl, m, klo + m * kstep) if m else None
+            # Every index before any write: a miss raises here.
+            for part in plane.parts:
+                if part.loop is None:
+                    penv, shape = env1, (n,)
+                elif inner[id(part.loop)] is None:
+                    grids.append(None)
+                    continue
+                else:
+                    penv, m, _ = inner[id(part.loop)]
+                    shape = (n, m)
+                lhs = part.stmt.lhs
+                tidx = self._flat_index(lhs, penv)
+                at = part.loop if part.red is None else None
+                if part.red is None:
+                    tidx = np.broadcast_to(tidx, shape)
+                    written[lhs.name].append((tidx, at, True))
+                elif part.loop is not None:
+                    tidx = np.broadcast_to(tidx, (n, 1))[:, 0]
+                    written[lhs.name].append((tidx, None, True))
+                for ref in part.reads:
+                    ridx = self._flat_index(ref, penv)
+                    if ref.name in written:
+                        ridx = np.broadcast_to(ridx, shape)
+                        written[ref.name].append((ridx, at, False))
+                grids.append((penv, shape, tidx))
+            if not self._plane_legal(n, inner, written):
+                return None
+            last = len(plane.parts) - 1
+            for k, (part, grid) in enumerate(zip(plane.parts, grids)):
+                if grid is None:
+                    continue
+                penv, shape, tidx = grid
+                name = part.stmt.lhs.name
+                arr = self.mem.arrays[name]
+                if part.red is None:
+                    value = self.eval(part.stmt.rhs, penv)
+                else:
+                    op, expr = part.red
+                    vec = np.ascontiguousarray(
+                        np.broadcast_to(self.eval(expr, penv), shape)
+                    )
+                    value = _fold(op, arr[tidx], vec)
+                    if self.probe is not None:
+                        self.probe(name, tidx, False)
+                if self.probe is not None:
+                    self.probe(name, tidx, True)
+                if k < last:
+                    undo.append((arr, tidx, arr[tidx]))
+                arr[tidx] = value
+        except (InterpError, ArithmeticError, ValueError):
+            # ValueError: numpy refuses what Python evaluates (an integer
+            # to a negative integer power); the scalar loop decides.
+            for arr, idx, old in reversed(undo):
+                arr[idx] = old
+            return None
+        per_iter = self.cpu.cycles_loop
+        for part in plane.parts:
+            if part.loop is None:
+                per_iter += self._w_assign(part.stmt)
+        for do in plane.loops:
+            if inner[id(do)] is not None:
+                _, m, end = inner[id(do)]
+                per_iter += m * (
+                    self.cpu.cycles_loop + sum(self._w_assign(t) for t in do.body)
+                )
+                # Fortran: the DO variable holds first-past-the-end after.
+                self.mem.scalars[do.var] = end
+        return n * per_iter
 
-    def _mentions_lhs(self, expr: F.Expr, stmt: F.Assign) -> bool:
-        if isinstance(stmt.lhs, F.Var):
-            return any(
-                isinstance(e, F.Var) and e.name == stmt.lhs.name
-                for e in F.walk_exprs(expr)
-            )
-        return any(
-            isinstance(e, F.ArrayRef) and e.name == stmt.lhs.name
-            for e in F.walk_exprs(expr)
-        )
+    def _plane_legal(self, n: int, inner, written) -> bool:
+        """The one-point rule: every element the plane writes is touched,
+        by every access in it, at one outer point, and at one inner
+        point of each inner loop that writes it."""
+        outer = np.arange(n)
+        for name, accesses in written.items():
+            if not accesses:
+                continue
+            size = self.mem.arrays[name].size
+            loops = {id(at): at for _, at, w in accesses if w and at is not None}
+            if len({id(at) for _, at, _ in accesses}) > 1 or not loops:
+                labelled = [
+                    (idx, outer if idx.ndim == 1 else outer[:, None], w)
+                    for idx, _, w in accesses
+                ]
+                if not _one_point(size, labelled):
+                    return False
+            for do in loops.values():
+                m = inner[id(do)][1]
+                point = outer[:, None] * m + np.arange(m)
+                labelled = [(idx, point, w) for idx, at, w in accesses if at is do]
+                if not _one_point(size, labelled):
+                    return False
+        return True
 
-    def _apply_reduction(self, op: str, current, vec):
-        if op == "+":
-            return current + np.sum(vec)
-        if op == "-":
-            return current - np.sum(vec)
-        if op == "*":
-            return current * np.prod(vec)
-        if op == "MAX":
-            return max(current, float(np.max(vec)))
-        return min(current, float(np.min(vec)))
-
-    def _vector_scalar_lhs(self, stmt, var, values, env, venv) -> bool:
+    def _vector_scalar_lhs(self, stmt, var, values, env) -> bool:
+        venv = dict(env)
+        venv[var] = values
         name = stmt.lhs.name
-        parts = self._reduction_parts(stmt, name)
+        parts = _reduction_parts(stmt)
         if parts is not None:
             op, expr = parts
-            if self._mentions_lhs(expr, stmt):
+            if _mentions_lhs(expr, stmt):
                 return False
             try:
                 vec = self.eval(expr, venv)
@@ -594,9 +677,9 @@ class Interpreter:
             if np.ndim(vec) == 0:
                 vec = np.full(len(values), vec)
             current = self.mem.scalars.get(name, 0.0)
-            self._store_scalar(name, self._apply_reduction(op, current, vec))
+            self._store_scalar(name, _fold(op, current, vec))
         else:
-            if self._mentions_lhs(stmt.rhs, stmt):
+            if _mentions_lhs(stmt.rhs, stmt):
                 return False
             try:
                 vec = self.eval(stmt.rhs, venv)
@@ -606,26 +689,194 @@ class Interpreter:
             self._store_scalar(name, last)
         return True
 
-    def _vector_reduction(self, stmt, var, values, env, venv, slot) -> bool:
-        """Loop-invariant array element accumulates over the loop."""
-        parts = self._reduction_parts(stmt, None)
-        if parts is None:
+
+# -- planes ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Part:
+    """One assignment of a plane.  ``loop`` is the inner DO it sits in
+    (None at the plane loop's own level); ``red`` is ``(op, expr)`` when
+    it folds its loop's values into a target that does not vary with
+    them; ``reads`` are the array references it evaluates."""
+
+    stmt: F.Assign
+    loop: Optional[F.Do]
+    red: Optional[tuple]
+    reads: Tuple[F.ArrayRef, ...]
+
+
+@dataclass(frozen=True)
+class _Plane:
+    parts: Tuple[_Part, ...]
+    loops: Tuple[F.Do, ...]
+    #: One assignment at one level with direct subscripts: the only
+    #: shape run as an array statement under a probe, because working
+    #: out its indices reads no array, so the probe sees exactly the
+    #: statement's own reads and write.
+    single: bool = False
+
+
+def _names(expr) -> set:
+    return {e.name for e in F.walk_exprs(expr) if isinstance(e, F.Var)}
+
+
+def _stmt_names(stmt: F.Assign) -> set:
+    return _names(stmt.lhs) | _names(stmt.rhs)
+
+
+def _plan_plane(loop: F.Do) -> Optional[_Plane]:
+    """``loop`` as a plane, or None.  A plane's body holds only array
+    assignments and inner DO loops of array assignments, whose bounds
+    read neither arrays nor the outer variable; an inner DO variable is
+    read only inside its own loop, and only a lone assignment may have
+    an indirect subscript or a ``**``."""
+    body = loop.body
+    if len(body) == 1 and isinstance(body[0], F.Assign):
+        part = _plane_part(body[0], loop.var, None, single=True)
+        if part is None:
+            return None
+        return _Plane((part,), (), single=not _indirect(body[0]))
+    loops = tuple(s for s in body if isinstance(s, F.Do))
+    ivars = {do.var for do in loops}
+    if loop.var in ivars or any(
+        isinstance(e, F.BinOp) and e.op == "**"
+        for s in F.walk_stmts(body)
+        if isinstance(s, F.Assign)
+        for e in F.walk_exprs(s.rhs)
+    ):
+        # NumPy's vector pow can differ from libm's pow in the last bit,
+        # so a body the one-level path runs scalar keeps ``**`` scalar.
+        return None
+    parts = []
+    for s in body:
+        if isinstance(s, F.Assign):
+            if _indirect(s) or ivars and _stmt_names(s) & ivars:
+                return None
+            parts.append(_plane_part(s, loop.var, None, single=False))
+            continue
+        if not isinstance(s, F.Do) or not s.body:
+            return None
+        bounds = (s.lo, s.hi, s.step)
+        if any(isinstance(e, F.ArrayRef) for b in bounds for e in F.walk_exprs(b)):
+            return None
+        if set().union(*map(_names, bounds)) & (ivars | {loop.var}):
+            return None  # triangular, or an inner variable read outside
+        others = ivars - {s.var}
+        for t in s.body:
+            if not isinstance(t, F.Assign) or _indirect(t):
+                return None
+            if others and _stmt_names(t) & others:
+                return None
+            parts.append(_plane_part(t, loop.var, s, single=len(s.body) == 1))
+    if None in parts:
+        return None
+    return _Plane(tuple(parts), loops)
+
+
+def _refs(*exprs) -> List[F.ArrayRef]:
+    return [
+        e for x in exprs for e in F.walk_exprs(x) if isinstance(e, F.ArrayRef)
+    ]
+
+
+def _indirect(stmt: F.Assign) -> bool:
+    """Whether a subscript in ``stmt`` reads an array."""
+    refs = _refs(stmt.lhs, stmt.rhs)
+    return any(_refs(*ref.subs) for ref in refs)
+
+
+def _plane_part(stmt: F.Assign, outer: str, loop, single: bool):
+    lhs = stmt.lhs
+    if not isinstance(lhs, F.ArrayRef):
+        return None
+    varies = set().union(*map(_names, lhs.subs))
+    if loop is not None and outer not in varies:
+        return None  # the target repeats at every outer point
+    target_reads = _refs(*lhs.subs)
+    if (outer if loop is None else loop.var) in varies:
+        return _Part(stmt, loop, None, tuple(target_reads + _refs(stmt.rhs)))
+    red = _reduction_parts(stmt) if single else None
+    if red is None or any(_mentions_lhs(e, stmt) for e in (red[1], *lhs.subs)):
+        return None
+    return _Part(stmt, loop, red, tuple(target_reads + _refs(red[1])))
+
+
+def _one_point(size: int, accesses) -> bool:
+    """True when each element some write in ``accesses`` touches is
+    touched by all of them under one label.  ``accesses`` are
+    ``(flat index, label, is_write)`` with labels broadcast to the
+    indices; elements only read may carry any labels."""
+    owner = np.empty(size, dtype=np.int64)
+    for idx, _, is_write in accesses:
+        if not is_write:
+            owner[idx] = -1
+    for idx, label, is_write in accesses:
+        if is_write:
+            owner[idx] = label
+    for idx, label, is_write in accesses:
+        got = owner[idx]
+        ok = got == label
+        if not is_write:
+            ok |= got == -1
+        if not ok.all():
             return False
-        op, expr = parts
-        if self._mentions_lhs(expr, stmt):
-            return False
-        try:
-            vec = self.eval(expr, venv)
-        except InterpError:
-            return False
-        if np.ndim(vec) == 0:
-            vec = np.full(len(values), vec)
-        arr = self.mem.arrays[stmt.lhs.name]
-        try:
-            if self.probe is not None:
-                self.probe(stmt.lhs.name, slot, False)
-                self.probe(stmt.lhs.name, slot, True)
-            arr[slot] = self._apply_reduction(op, arr[slot], vec)
-        except IndexError:
-            raise self._out_of_range(stmt.lhs.name) from None
-        return True
+    return True
+
+
+def _trip_count(lo: int, hi: int, step: int) -> int:
+    return max(0, (hi - lo) // step + 1 if (hi - lo) * step >= 0 else 0)
+
+
+def _reduction_parts(stmt: F.Assign) -> Optional[tuple]:
+    """Match ``lhs = lhs op expr`` shapes; returns (op, expr)."""
+    rhs = stmt.rhs
+
+    def is_lhs(e):
+        if isinstance(stmt.lhs, F.Var):
+            return isinstance(e, F.Var) and e.name == stmt.lhs.name
+        return (
+            isinstance(e, F.ArrayRef)
+            and e.name == stmt.lhs.name
+            and str(e) == str(stmt.lhs)
+        )
+
+    if isinstance(rhs, F.BinOp) and rhs.op in ("+", "-", "*"):
+        if is_lhs(rhs.left):
+            return (rhs.op, rhs.right)
+        if rhs.op in ("+", "*") and is_lhs(rhs.right):
+            return (rhs.op, rhs.left)
+    if (
+        isinstance(rhs, F.Intrinsic)
+        and rhs.name in ("MAX", "MIN")
+        and len(rhs.args) == 2
+    ):
+        if is_lhs(rhs.args[0]):
+            return (rhs.name, rhs.args[1])
+        if is_lhs(rhs.args[1]):
+            return (rhs.name, rhs.args[0])
+    return None
+
+
+def _mentions_lhs(expr: F.Expr, stmt: F.Assign) -> bool:
+    kind = F.Var if isinstance(stmt.lhs, F.Var) else F.ArrayRef
+    return any(
+        isinstance(e, kind) and e.name == stmt.lhs.name for e in F.walk_exprs(expr)
+    )
+
+
+def _fold(op: str, current, vec):
+    """``current op`` the fold of each row of ``vec`` along its last
+    axis.  Each row takes the ufunc reduction ``np.sum``/``np.prod``/
+    ``np.max``/``np.min`` makes of it as a 1-D vector (pairwise for
+    ``+``), so a row-at-a-time fold gives the same bits."""
+    if op == "+":
+        return current + np.add.reduce(vec, axis=-1)
+    if op == "-":
+        return current - np.add.reduce(vec, axis=-1)
+    if op == "*":
+        return current * np.multiply.reduce(vec, axis=-1)
+    if op == "MAX":
+        x = np.maximum.reduce(vec, axis=-1).astype(np.float64)
+        return np.where(x > current, x, current)
+    x = np.minimum.reduce(vec, axis=-1).astype(np.float64)
+    return np.where(x < current, x, current)

@@ -33,3 +33,16 @@ def test_dead_markdown_link_is_a_finding(lint_repo, tmp_path, monkeypatch):
     findings = []
     lint_repo.lint_markdown_links(findings)
     assert findings == ["doc.md:2: dead link -> gone.md#frag"]
+
+
+def test_tracked_but_deleted_markdown_is_skipped(
+    lint_repo, tmp_path, monkeypatch
+):
+    (tmp_path / "doc.md").write_text("[a](gone.md) [b](doc.md)\n")
+    monkeypatch.setattr(lint_repo, "REPO", tmp_path)
+    monkeypatch.setattr(
+        lint_repo, "_tracked_markdown", lambda: ["doc.md", "gone.md"]
+    )
+    findings = []
+    lint_repo.lint_markdown_links(findings)
+    assert findings == ["doc.md:1: dead link -> gone.md"]

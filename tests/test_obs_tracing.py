@@ -264,6 +264,8 @@ def test_interp_loop_counters():
     prog = compile_source(mm.source(16), nprocs=4)
     rep = run_program(prog, trace=True)
     assert rep.trace.metrics.get("interp.loops_vectorized").value > 0
+    # MM's J loop runs as one plane with its K reduction.
+    assert rep.trace.metrics.get("interp.nests_vectorized").value > 0
     rep_t = run_program(prog, execute=False, trace=True)
     assert rep_t.trace.metrics.get("interp.loops_analytic").value > 0
 

@@ -110,3 +110,100 @@ def test_property_strided_writes_survive_any_grain(stride, nprocs, grain):
     seq = run_sequential(prog)
     par = run_program(prog)
     assert np.array_equal(par.memory.array("A"), seq.memory.array("A"))
+
+
+# -- two-level nests ----------------------------------------------------------
+
+M = 10  # extent of both dimensions of the 2-D arrays
+
+
+@st.composite
+def nest_stmt(draw, arrays):
+    """One assignment inside DO J / DO I: an offset stencil over I and J.
+    A target offset of 1 with a read of the same array at I makes a
+    carried dependence, which must fall back to the scalar loop."""
+    target = draw(st.sampled_from(arrays))
+    t_off = draw(st.sampled_from([0, 1]))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        src = draw(st.sampled_from(arrays))
+        di = draw(st.integers(-1, 1))
+        dj = draw(st.integers(-1, 1))
+        coef = draw(st.sampled_from(["0.5", "1.5", "-0.25"]))
+        terms.append(f"{coef} * {src}(I + {di}, J + {dj})")
+    if draw(st.booleans()):
+        terms.append("DBLE(I - J) * 0.125")
+    return f"          {target}(I + {t_off}, J) = " + " + ".join(terms)
+
+
+@st.composite
+def nest_source(draw):
+    """2-D nests: multi-statement inner bodies, offset stencils and an
+    optional inner row reduction into R(J)."""
+    arrays = ["A", "B", "C"]
+    lines = [
+        "      PROGRAM NEST",
+        f"      PARAMETER (N = {M})",
+        "      REAL*8 A(N,N), B(N,N), C(N,N), R(N)",
+        "      INTEGER I, J, K",
+        "      DO J = 1, N",
+        "        DO I = 1, N",
+        "          A(I,J) = DBLE(I) + 0.5 * DBLE(J)",
+        "          B(I,J) = DBLE(I * J) * 0.25 - 1.0",
+        "          C(I,J) = 1.0",
+        "        ENDDO",
+        "        R(J) = 0.0",
+        "      ENDDO",
+    ]
+    for _ in range(draw(st.integers(1, 2))):
+        lines.append("      DO J = 2, N - 1")
+        reduce_at = draw(st.sampled_from(["none", "before", "after"]))
+        src = draw(st.sampled_from(arrays))
+        reduction = [
+            "        R(J) = 0.0",
+            "        DO K = 1, N",
+            f"          R(J) = R(J) + {src}(K, J) * 0.5",
+            "        ENDDO",
+        ]
+        if reduce_at == "before":
+            lines += reduction
+        lines.append("        DO I = 2, N - 2")
+        lines += [draw(nest_stmt(arrays)) for _ in range(draw(st.integers(1, 3)))]
+        lines.append("        ENDDO")
+        if reduce_at == "after":
+            lines += reduction
+        lines.append("      ENDDO")
+    lines += ["      PRINT *, R(2), R(N - 1)", "      END"]
+    return "\n".join(lines)
+
+
+def _nest_parallel_equals_sequential(src, nprocs, grain):
+    prog = compile_source(src, nprocs=nprocs, granularity=grain)
+    seq = run_sequential(prog)
+    par = run_program(prog)
+    for name in ("A", "B", "C", "R"):
+        assert (
+            par.memory.array(name).tobytes() == seq.memory.array(name).tobytes()
+        ), f"{name} differs (nprocs={nprocs}, grain={grain})\n{src}"
+    assert par.stdout == seq.stdout
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    src=nest_source(),
+    nprocs=st.sampled_from([2, 3, 4]),
+    grain=st.sampled_from(["fine", "middle", "coarse"]),
+)
+def test_property_nests_parallel_equals_sequential(src, nprocs, grain):
+    _nest_parallel_equals_sequential(src, nprocs, grain)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(
+    src=nest_source(),
+    nprocs=st.sampled_from([1, 2, 3, 4, 5, 8]),
+    grain=st.sampled_from(["fine", "middle", "coarse"]),
+)
+def test_property_nests_parallel_equals_sequential_wide(src, nprocs, grain):
+    _nest_parallel_equals_sequential(src, nprocs, grain)

@@ -248,7 +248,7 @@ VECTOR_CASES = {
 
 
 class _NoVectorInterp(Interpreter):
-    def _vector_assign(self, *a, **kw):
+    def _run_vector(self, *a, **kw):
         return False
 
 

@@ -149,16 +149,40 @@ def test_cli_missing_artifacts_exit_2_without_traceback(
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: ") and repr(argv[1]) in err
+    # Out-of-range subscripts: past the end, below the lower bound
+    # (A(I-1) at I=1), and past an inner dimension (A(I+1,J) at I=4,
+    # which a flat check alone would alias to A(1,J+1)).
     oor = tmp_path / "oor.f"
     oor.write_text(
         "      PROGRAM P\n      REAL*8 A(8)\n      INTEGER I\n"
         "      DO I = 1, 9\n        A(I) = I\n      ENDDO\n      END\n"
     )
-    for argv in (["run", str(oor)], ["run", "--sanitize", str(oor)]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: ") and "array A" in err
-        assert "size 8" in err and len(err.splitlines()) == 1
+    neg = tmp_path / "neg.f"
+    neg.write_text(
+        "      PROGRAM P\n      REAL*8 A(8), B(8)\n      INTEGER I\n"
+        "      DO I = 1, 8\n        A(I) = I\n      ENDDO\n"
+        "      DO I = 1, 8\n        B(I) = A(I-1)\n      ENDDO\n"
+        "      PRINT *, B(1)\n      END\n"
+    )
+    inner = tmp_path / "inner.f"
+    inner.write_text(
+        "      PROGRAM P\n      REAL*8 A(4,4), B(4)\n      INTEGER I, J\n"
+        "      DO J = 1, 4\n        DO I = 1, 4\n"
+        "          A(I,J) = I + 10*J\n        ENDDO\n      ENDDO\n"
+        "      J = 1\n      DO I = 1, 4\n        B(I) = A(I+1,J)\n"
+        "      ENDDO\n      PRINT *, B(4)\n      END\n"
+    )
+    for path, size, where in (
+        (oor, "size 8", "subscript 9 out of range 1:8 in dimension 1"),
+        (neg, "size 8", "subscript 0 out of range 1:8 in dimension 1"),
+        (inner, "size 16", "subscript 5 out of range 1:4 in dimension 1"),
+    ):
+        for argv in (["run", str(path)], ["run", "--sanitize", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: ") and "array A" in err
+            assert size in err and where in err
+            assert len(err.splitlines()) == 1
     # Division by zero: scalar integer and real, vectorized integer `/`
     # and MOD, and a constant the front end folds.
     head = "      PROGRAM P\n      INTEGER I, K\n      INTEGER B(8)\n"

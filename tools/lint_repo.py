@@ -165,6 +165,8 @@ def _tracked_markdown():
 def lint_markdown_links(findings):
     for name in _tracked_markdown():
         path = REPO / name
+        if not path.exists():
+            continue  # tracked but deleted: links to it are still checked
         lines = path.read_text().splitlines()
         for lineno, line in enumerate(lines, start=1):
             for target in MD_LINK.findall(line):
