@@ -220,7 +220,9 @@ class AccessCache:
     :meth:`lmad` always equals :func:`ref_lmad` exactly.
 
     The memo is keyed by object identity and keeps each reference alive,
-    so one cache must only see the AST of one compile, left unmutated.
+    so one cache must only see the AST of one front (every compile
+    variant of one source, ``repro.compiler.postpass.driver.Front``),
+    left unmutated once the front pass is done.
     """
 
     def __init__(self, symtab: SymbolTable):
@@ -229,9 +231,9 @@ class AccessCache:
         self._offsets: Dict[
             int, Tuple[F.ArrayRef, Symbol, Optional[Affine]]
         ] = {}
-        #: id(statement list) -> (the list, its flat access template),
-        #: filled by ``summary.summarize_statements``.
-        self.templates: Dict[int, Tuple[object, Tuple]] = {}
+        #: ids of a statement list's statements -> (the list, its flat
+        #: access template), filled by ``summary.summarize_statements``.
+        self.templates: Dict[Tuple[int, ...], Tuple[object, Tuple]] = {}
 
     def offset(
         self, ref: F.ArrayRef, env: Mapping[str, int]

@@ -197,7 +197,9 @@ class _Collector:
             return whole_array(sym)
 
     def walk(self, stmts: Sequence[F.Stmt]) -> None:
-        key = id(stmts)
+        # Keyed by the statements, not the list: every compile of a
+        # source builds fresh region lists over the same statements.
+        key = tuple(map(id, stmts))
         hit = self.cache.templates.get(key)
         if hit is None:
             hit = self.cache.templates[key] = (

@@ -8,7 +8,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.compiler.frontend.lower import lower_program
 from repro.compiler.frontend.parser import parse
-from repro.compiler.postpass.driver import run_postpass
+from repro.compiler.postpass.driver import Front, run_front, run_postpass
 from repro.compiler.postpass.granularity import GRAINS
 from repro.runtime.program import SpmdProgram
 
@@ -31,6 +31,13 @@ _COMPILE_CACHE: "OrderedDict[Tuple[str, CompileOptions], SpmdProgram]" = (
 _COMPILE_CACHE_MAX = 128
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
+#: Analyzed fronts, keyed by (source, parallelize), LRU-evicted like
+#: ``_COMPILE_CACHE``.  Parsing, lowering and parallelism detection
+#: depend on neither grain, partition nor rank count, so every variant
+#: of a source plans from one :class:`Front`: its unit is never written
+#: after the front pass, and a variant's demotions live in the program.
+_FRONT_CACHE: "OrderedDict[Tuple[str, bool], Front]" = OrderedDict()
+
 
 def compile_cache_stats() -> Dict[str, int]:
     """Hit/miss counters of the compile cache (copies, for reports)."""
@@ -39,8 +46,36 @@ def compile_cache_stats() -> Dict[str, int]:
 
 def clear_compile_cache() -> None:
     _COMPILE_CACHE.clear()
+    _FRONT_CACHE.clear()
     _CACHE_STATS["hits"] = 0
     _CACHE_STATS["misses"] = 0
+
+
+def _lookup(cache: OrderedDict, key):
+    """The entry under ``key`` (marked most recently used), or None."""
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+    return hit
+
+
+def _store(cache: OrderedDict, key, value):
+    """Insert ``value``, evicting least recently used entries."""
+    cache[key] = value
+    while len(cache) > _COMPILE_CACHE_MAX:
+        cache.popitem(last=False)
+    return value
+
+
+def _front(source: str, parallelize: bool) -> Front:
+    """The source's shared front, parsed, lowered and analyzed once."""
+    key = (source, parallelize)
+    front = _lookup(_FRONT_CACHE, key)
+    if front is None:
+        front = _store(_FRONT_CACHE, key, run_front(
+            lower_program(parse(source)).main, parallelize
+        ))
+    return front
 
 
 @dataclass(frozen=True)
@@ -187,14 +222,12 @@ def compile_source(
             nprocs=nprocs, granularity=granularity, **kwargs
         )
     key = (source, options)
-    cached = _COMPILE_CACHE.get(key)
+    cached = _lookup(_COMPILE_CACHE, key)
     if cached is not None:
-        _COMPILE_CACHE.move_to_end(key)
         _CACHE_STATS["hits"] += 1
         return cached
     _CACHE_STATS["misses"] += 1
-    program = lower_program(parse(source))
-    spmd = run_postpass(program.main, options)
+    spmd = run_postpass(_front(source, options.parallelize), options)
     if "C$BUG" in source:
         # Seeded-defect corpus (tests/badprogs, docs/CHECK.md): comment
         # pragmas mutate the freshly planned transfer schedule so the
@@ -202,10 +235,7 @@ def compile_source(
         from repro.compiler.postpass.bugseed import apply_bug_pragmas
 
         apply_bug_pragmas(spmd, source)
-    _COMPILE_CACHE[key] = spmd
-    while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAX:
-        _COMPILE_CACHE.popitem(last=False)
-    return spmd
+    return _store(_COMPILE_CACHE, key, spmd)
 
 
 def compile_file(path: str, **kwargs) -> SpmdProgram:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Collection, List, Optional, Tuple, Union
 
 from repro.compiler.frontend import fast as F
 
@@ -75,14 +75,30 @@ class IfRegion:
 Region = Union[SeqBlock, ParRegion, SeqLoop, IfRegion]
 
 
-def contains_parallel(stmts: List[F.Stmt]) -> bool:
-    return any(
-        isinstance(s, F.Do) and s.parallel for s in F.walk_stmts(stmts)
+def _is_parallel(stmt: F.Stmt, serial: Collection[int]) -> bool:
+    return (
+        isinstance(stmt, F.Do)
+        and stmt.parallel
+        and stmt.loop_id not in serial
     )
 
 
-def build_regions(stmts: List[F.Stmt], _ids=None) -> List[Region]:
-    """Partition a statement list into the region tree."""
+def contains_parallel(
+    stmts: List[F.Stmt], serial: Collection[int] = ()
+) -> bool:
+    """Whether a parallel loop not kept serial by ``serial`` (loop ids)
+    appears anywhere in ``stmts``."""
+    return any(_is_parallel(s, serial) for s in F.walk_stmts(stmts))
+
+
+def build_regions(
+    stmts: List[F.Stmt], serial: Collection[int] = (), _ids=None
+) -> List[Region]:
+    """Partition a statement list into the region tree.
+
+    ``serial`` holds the ids of parallel loops one compile keeps serial
+    (the postpass could not plan them); the unit itself is not written.
+    """
     ids = _ids if _ids is not None else itertools.count()
     out: List[Region] = []
     pending: List[F.Stmt] = []
@@ -93,24 +109,26 @@ def build_regions(stmts: List[F.Stmt], _ids=None) -> List[Region]:
             pending.clear()
 
     for stmt in stmts:
-        if isinstance(stmt, F.Do) and stmt.parallel:
+        if _is_parallel(stmt, serial):
             flush()
             out.append(ParRegion(loop=stmt, region_id=next(ids)))
-        elif isinstance(stmt, F.Do) and contains_parallel(stmt.body):
+        elif isinstance(stmt, F.Do) and contains_parallel(stmt.body, serial):
             flush()
             node = SeqLoop(loop=stmt, region_id=next(ids))
-            node.body = build_regions(stmt.body, ids)
+            node.body = build_regions(stmt.body, serial, ids)
             out.append(node)
         elif isinstance(stmt, F.If) and (
-            contains_parallel(stmt.then)
-            or any(contains_parallel(b) for _c, b in stmt.elifs)
-            or contains_parallel(stmt.orelse)
+            contains_parallel(stmt.then, serial)
+            or any(contains_parallel(b, serial) for _c, b in stmt.elifs)
+            or contains_parallel(stmt.orelse, serial)
         ):
             flush()
             node = IfRegion(cond=stmt.cond, region_id=next(ids))
-            node.then = build_regions(stmt.then, ids)
-            node.elifs = [(c, build_regions(b, ids)) for c, b in stmt.elifs]
-            node.orelse = build_regions(stmt.orelse, ids)
+            node.then = build_regions(stmt.then, serial, ids)
+            node.elifs = [
+                (c, build_regions(b, serial, ids)) for c, b in stmt.elifs
+            ]
+            node.orelse = build_regions(stmt.orelse, serial, ids)
             out.append(node)
         else:
             pending.append(stmt)

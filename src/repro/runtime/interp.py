@@ -18,11 +18,13 @@ Two execution modes:
   each row, bit for bit).  Everything else runs the scalar loop, which
   is the reference: scalar targets (``_vector_scalar_lhs`` aside),
   triangular inner bounds, an inner DO variable read outside its loop,
-  indirect subscripts or ``**`` outside a lone assignment (NumPy's
-  vector pow can differ from libm's in the last bit), any shape but a lone
-  direct assignment under an access probe, a failed legality check, and
-  an error mid-plane (its writes are undone first, and the scalar loop
-  raises the typed error).  Every subscript is checked against its
+  indirect subscripts outside a lone assignment, ``**`` anywhere in an
+  array-target body (NumPy's vector pow can differ from libm's ``pow``
+  in the last bit, so a ``**`` result would depend on which path its
+  iteration range took), any shape but a lone direct assignment under
+  an access probe, a failed legality check, and an error mid-plane
+  (its writes are undone first, and the scalar loop raises the typed
+  error).  Every subscript is checked against its
   dimension's declared bounds (:class:`SubscriptError`).
 * **timing mode** (``execute=False``) — array arithmetic is skipped and
   pure loop nests are charged analytically (``niter x body_cycles``), so
@@ -194,9 +196,13 @@ class Interpreter:
         return w
 
     def _w_assign(self, s: F.Assign) -> float:
+        key = id(s)
+        if key in self._static:
+            return self._static[key]
         w = self._w_expr(s.rhs) + self.cpu.cycles_mem
         if isinstance(s.lhs, F.ArrayRef):
             w += sum(self._w_expr(sub) for sub in s.lhs.subs) + self.cpu.cycles_add
+        self._static[key] = w
         return w
 
     # -- evaluation -----------------------------------------------------------
@@ -727,10 +733,20 @@ def _stmt_names(stmt: F.Assign) -> set:
 def _plan_plane(loop: F.Do) -> Optional[_Plane]:
     """``loop`` as a plane, or None.  A plane's body holds only array
     assignments and inner DO loops of array assignments, whose bounds
-    read neither arrays nor the outer variable; an inner DO variable is
-    read only inside its own loop, and only a lone assignment may have
-    an indirect subscript or a ``**``."""
+    read neither arrays nor the outer variable.  No statement uses
+    ``**``, an inner DO variable is read only inside its own loop, and
+    only a lone assignment may have an indirect subscript."""
     body = loop.body
+    if any(
+        isinstance(e, F.BinOp) and e.op == "**"
+        for s in F.walk_stmts(body)
+        if isinstance(s, F.Assign)
+        for side in (s.lhs, s.rhs)
+        for e in F.walk_exprs(side)
+    ):
+        # NumPy's vector pow can differ from libm's pow in the last bit,
+        # and the scalar loop is the reference.
+        return None
     if len(body) == 1 and isinstance(body[0], F.Assign):
         part = _plane_part(body[0], loop.var, None, single=True)
         if part is None:
@@ -738,14 +754,7 @@ def _plan_plane(loop: F.Do) -> Optional[_Plane]:
         return _Plane((part,), (), single=not _indirect(body[0]))
     loops = tuple(s for s in body if isinstance(s, F.Do))
     ivars = {do.var for do in loops}
-    if loop.var in ivars or any(
-        isinstance(e, F.BinOp) and e.op == "**"
-        for s in F.walk_stmts(body)
-        if isinstance(s, F.Assign)
-        for e in F.walk_exprs(s.rhs)
-    ):
-        # NumPy's vector pow can differ from libm's pow in the last bit,
-        # so a body the one-level path runs scalar keeps ``**`` scalar.
+    if loop.var in ivars:
         return None
     parts = []
     for s in body:

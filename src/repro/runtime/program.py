@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
+from repro.compiler.analysis.access import AccessCache
 from repro.compiler.frontend import fast as F
 from repro.compiler.postpass.avpg import Avpg
 from repro.compiler.postpass.env import MpiEnvironment
@@ -18,7 +19,14 @@ __all__ = ["SpmdProgram"]
 class SpmdProgram:
     """Everything the runtime needs: the region tree with attached
     partitions and communication plans, the MPI environment, the AVPG,
-    and the emitted Fortran77+MPI-2 pseudo-source."""
+    and the emitted Fortran77+MPI-2 pseudo-source.
+
+    ``unit`` is shared, read-only, by every program compiled from the
+    same source; ``serial_loops`` names the parallel loops this compile
+    kept serial, and ``access`` is the unit's shared
+    :class:`AccessCache`, so ``repro check`` rebuilds the same region
+    tree from the same linearized references.
+    """
 
     unit: F.Unit
     regions: List[Region]
@@ -28,6 +36,8 @@ class SpmdProgram:
     options: "CompileOptions"  # noqa: F821 - repro.compiler.pipeline
     fortran: str = ""
     parallelization_log: str = ""
+    serial_loops: FrozenSet[int] = frozenset()
+    access: Optional[AccessCache] = None
 
     @property
     def nprocs(self) -> int:

@@ -447,13 +447,14 @@ class _VerifyingPlanner(CommPlanner):
 def check_program(program) -> CheckReport:
     """Statically verify a compiled program's emitted transfer plans."""
     options = program.options
-    regions = build_regions(program.unit.body)
+    regions = build_regions(program.unit.body, program.serial_loops)
     env = generate_environment(regions, program.unit.symtab)
     planner = _VerifyingPlanner(
         symtab=program.unit.symtab,
         regions=regions,
         env=env,
         options=options,
+        access=program.access,
         emitted=program.plans,
     )
     planner.plan()

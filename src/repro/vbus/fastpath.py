@@ -231,18 +231,19 @@ def start_fast_leg(
     sim = mesh.sim
     now = sim.now
     rd = mesh.link.router_delay_s
-    if h > 1 and not (sim.peek() > now + (h - 1) * rd):
-        # Another process could act while the head would still be
-        # advancing — claiming the whole path now might steal a channel
-        # early.  Only the oracle can order that correctly.
+    # Another process could act while the head would still be advancing
+    # (an event inside the head window), or a channel is held: either
+    # way only the oracle can order the leg correctly.  A miss on both
+    # counts as ``busy``, which no narrower window guard could admit.
+    quiet = h == 1 or sim.peek() > now + (h - 1) * rd
+    free = all(ch.is_free for ch in channels)
+    if not (quiet and free):
         mesh.fast_fallbacks += 1
-        mesh.fast_fallback_peek += 1
-        return None
-    for ch in channels:
-        if not ch.is_free:
-            mesh.fast_fallbacks += 1
+        if free:
+            mesh.fast_fallback_peek += 1
+        else:
             mesh.fast_fallback_busy += 1
-            return None
+        return None
 
     # Claim the path; per-hop timestamps follow stepwise float arithmetic.
     hop_starts: List[float] = []

@@ -1,8 +1,9 @@
-"""The per-compile access cache (repro.compiler.analysis.access.AccessCache).
+"""The per-source access cache (repro.compiler.analysis.access.AccessCache).
 
-The planner and the checker linearize each reference once per compile
-and substitute bound scalars into the cached offset.  These tests pin
-that the shortcut never changes an answer:
+The planner and the checker linearize each reference once per source
+(one front, shared by every compile variant) and substitute bound
+scalars into the cached offset.  These tests pin that the shortcut
+never changes an answer:
 
 * every summary the detector, the planner and RV401 compute through a
   shared cache equals a cache-less ``summarize_statements`` and a
@@ -11,7 +12,8 @@ that the shortcut never changes an answer:
 * a subscript that is affine only once a scalar is bound gives the same
   LMAD both ways;
 * per-rank regions are derived once per (loop, partition);
-* no cache outlives its compile.
+* every compile variant of a source shares one cache, and none
+  survives ``clear_compile_cache()`` once its programs are dropped.
 """
 
 import gc
@@ -161,7 +163,10 @@ def test_rank_regions_derived_once_per_loop_and_partition(monkeypatch):
     assert sum(calls.values()) > sum(runs.values())
 
 
-def test_no_cache_outlives_its_compile(monkeypatch):
+def test_variants_share_one_cache_until_cleared(monkeypatch):
+    """All compile variants of one source, and their checks, share the
+    front's one cache; a second source gets its own; once the programs
+    are dropped, no cache survives ``clear_compile_cache()``."""
     made = []
     init = AccessCache.__init__
 
@@ -173,9 +178,18 @@ def test_no_cache_outlives_its_compile(monkeypatch):
     clear_compile_cache()
     source = source_for("JACOBI-32x10")
     first = compile_source(source, nprocs=4, granularity="fine")
-    second = compile_source(source, nprocs=4, granularity="coarse")
+    second = compile_source(
+        source, nprocs=16, granularity="coarse", partition="cyclic"
+    )
     check_program(second)
-    assert first is not second and len(made) >= 3
+    assert first is not second and len(made) == 1
+    assert first.access is second.access is made[0]()
+    other = compile_source(source_for("MM-32"), nprocs=4)
+    check_program(other)
+    assert len(made) == 2 and other.access is made[1]()
+    del first, second, other
+    gc.collect()
+    assert all(r() is not None for r in made)  # the fronts hold them
+    clear_compile_cache()
     gc.collect()
     assert [r for r in made if r() is not None] == []
-    clear_compile_cache()

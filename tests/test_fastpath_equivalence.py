@@ -293,6 +293,28 @@ def test_fast_path_actually_engages():
     assert cluster.mesh.fast_fallbacks == 0
 
 
+def test_claim_miss_on_both_guards_counts_as_busy():
+    """A multi-hop leg with a held channel *and* an event inside its head
+    window is a ``busy`` miss; the window is still peeked first."""
+    from repro.vbus.fastpath import start_fast_leg
+
+    sim = Simulator()
+    cluster = Cluster(sim, _params(2, 4, True))
+    mesh = cluster.mesh
+    route = mesh.channel_path(0, 7)
+    assert len(route) > 1
+    peeks = []
+    peek = sim.peek
+    sim.peek = lambda: peeks.append(sim.now) or peek()
+    sim.timeout(0.0)  # an event at ``now``: inside any head window
+    assert start_fast_leg(mesh, 0, 7, 64, None, 0.0) is None
+    assert (mesh.fast_fallback_peek, mesh.fast_fallback_busy) == (1, 0)
+    route[-1].claim(sim.now)
+    assert start_fast_leg(mesh, 0, 7, 64, None, 0.0) is None
+    assert (mesh.fast_fallback_peek, mesh.fast_fallback_busy) == (1, 1)
+    assert mesh.fast_fallbacks == 2 and len(peeks) == 2
+
+
 def test_stepwise_mode_never_uses_fast_legs():
     params = _params(2, 2, False)
     sim = Simulator()

@@ -46,3 +46,39 @@ def test_tracked_but_deleted_markdown_is_skipped(
     findings = []
     lint_repo.lint_markdown_links(findings)
     assert findings == ["doc.md:1: dead link -> gone.md"]
+
+
+def test_loop_annotation_write_outside_front_pass_is_a_finding(
+    lint_repo, tmp_path, monkeypatch
+):
+    def put(rel, text):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+    put("src/repro/compiler/frontend/parser.py", "loop.parallel = True\n")
+    put(
+        "src/repro/compiler/postpass/driver.py",
+        "def run_front(unit):\n"
+        "    def visit(s):\n"
+        "        s.parallel = False\n"
+        "\n"
+        "def run_postpass(front, options):\n"
+        "    loop.parallel = False\n",
+    )
+    put(
+        "src/repro/runtime/x.py",
+        "class C:\n"
+        "    def f(self, loop):\n"
+        "        loop.reductions, self.n = [], 0\n"
+        "        setattr(loop, 'private', [])\n"
+        "        loop.parallel_ok = True\n",
+    )
+    monkeypatch.setattr(lint_repo, "REPO", tmp_path)
+    findings = []
+    lint_repo.lint_annotation_writes(findings)
+    assert [f.split(": ", 1)[0] for f in findings] == [
+        "src/repro/compiler/postpass/driver.py:6",
+        "src/repro/runtime/x.py:3",
+        "src/repro/runtime/x.py:4",
+    ]

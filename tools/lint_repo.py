@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Repo-convention lints the generic toolchain can't express.
 
-Three rules, each load-bearing for a reproducibility or docs contract:
+Four rules, each load-bearing for a reproducibility or docs contract:
 
 1. **No wall clocks in the simulator** (``src/repro/sim``,
    ``src/repro/vbus``): every quantity those layers produce must be
@@ -19,6 +19,13 @@ Three rules, each load-bearing for a reproducibility or docs contract:
    bare ``#anchor`` must name a path that exists, resolved relative to
    the linking file (``#fragment`` suffixes are stripped; fragments
    themselves are not validated).
+
+4. **The analyzed unit stays read-only**: loop annotations
+   (``.parallel``, ``.reductions``, ``.private``) are assigned only by
+   the parser, parallelism detection and the driver's front pass.  Every
+   compile variant of a source plans from one shared unit
+   (docs/ARCHITECTURE.md), so a write anywhere else would leak one
+   variant's decision into the others.
 
 Usage::
 
@@ -59,6 +66,15 @@ OPTIONAL_JSON_KEYS = {
     "diagnostics", "notes", "array", "rank", "loop_var", "region_id",
 }
 
+
+#: Loop annotations of the shared unit, and where they may be written:
+#: path -> the one top-level function allowed to (None: the whole file).
+ANNOTATION_ATTRS = {"parallel", "reductions", "private"}
+ANNOTATION_WRITERS = {
+    "src/repro/compiler/frontend/parser.py": None,
+    "src/repro/compiler/analysis/parallel.py": None,
+    "src/repro/compiler/postpass/driver.py": "run_front",
+}
 
 #: ``[text](target)`` in markdown.
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -154,6 +170,54 @@ def lint_jsonable(findings):
                 _check_jsonable(node, path, findings)
 
 
+def _annotation_writes(tree):
+    """(line, attribute, top-level function or None) of every assignment
+    to a loop annotation, ``setattr`` calls with a literal name included."""
+
+    def targets(node):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            stack = list(getattr(node, "targets", None) or [node.target])
+            while stack:
+                t = stack.pop()
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    stack.extend(t.elts)
+                elif isinstance(t, ast.Attribute):
+                    yield t.attr
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+    for top in tree.body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) else None
+        for node in ast.walk(top):
+            for attr in targets(node):
+                if attr in ANNOTATION_ATTRS:
+                    yield node.lineno, attr, owner
+
+
+def lint_annotation_writes(findings):
+    for path in _iter_py(("src/repro",)):
+        rel = path.relative_to(REPO).as_posix()
+        allowed = ANNOTATION_WRITERS.get(rel, False)  # False: nowhere
+        if allowed is None:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, attr, owner in _annotation_writes(tree):
+            if owner != allowed:
+                findings.append(
+                    f"{rel}:{lineno}: assigns loop annotation .{attr} "
+                    f"outside the front pass (the analyzed unit is shared "
+                    f"by every compile variant)"
+                )
+
+
 def _tracked_markdown():
     out = subprocess.run(
         ["git", "ls-files", "*.md"], cwd=REPO, capture_output=True,
@@ -182,6 +246,7 @@ def main() -> int:
     lint_wall_clock(findings)
     lint_jsonable(findings)
     lint_markdown_links(findings)
+    lint_annotation_writes(findings)
     if findings:
         print("\n".join(findings))
         return 1
